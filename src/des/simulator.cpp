@@ -15,8 +15,6 @@ constexpr std::uint64_t kMaxSequence =
 
 }  // namespace
 
-Simulator::Simulator(QueueKind queue_kind) : queue_(MakeQueue(queue_kind)) {}
-
 std::uint32_t Simulator::AcquireSlot() {
   if (free_head_ != kNoFreeSlot) {
     const std::uint32_t slot = free_head_;
@@ -47,7 +45,7 @@ EventId Simulator::ScheduleAt(double time, Action action) {
   EventRecord& rec = slab_[slot];
   rec.id = id;
   rec.action = std::move(action);
-  queue_->Push(time, id);
+  queue_.Push(time, id);
   ++live_;
   if (live_ > live_hwm_) live_hwm_ = live_;
   return id;
@@ -64,7 +62,7 @@ bool Simulator::Cancel(EventId id) {
   if (id == 0) return false;
   const std::size_t slot = EventSlotOf(id);
   if (slot >= slab_.size() || slab_[slot].id != id) return false;
-  queue_->Cancel(id);
+  queue_.Cancel(id);
   ReleaseSlot(static_cast<std::uint32_t>(slot));
   --live_;
   ++cancelled_;
@@ -73,7 +71,7 @@ bool Simulator::Cancel(EventId id) {
 
 bool Simulator::Step() {
   if (live_ == 0) return false;
-  const QueuedEvent e = queue_->PopMin();
+  const QueuedEvent e = queue_.PopMin();
   now_ = e.time;
   const std::size_t slot = EventSlotOf(e.id);
   Require(slot < slab_.size() && slab_[slot].id == e.id,
@@ -91,7 +89,7 @@ bool Simulator::Step() {
 
 void Simulator::RunUntil(double until) {
   Require(until >= now_, "horizon is in the past");
-  while (live_ > 0 && queue_->PeekMin().time <= until) {
+  while (live_ > 0 && queue_.PeekMin().time <= until) {
     Step();
   }
   now_ = until;

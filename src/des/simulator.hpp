@@ -10,7 +10,7 @@
 // via the small-buffer-optimized InlineAction — so the schedule/fire/cancel
 // cycle performs no per-event heap allocation and no hashing.  An EventId
 // packs (sequence << kEventSlotBits) | slot: the sequence keeps ids
-// strictly monotone (the queues' FIFO tie-break), while the full-id
+// strictly monotone (the queue's FIFO tie-break), while the full-id
 // equality check against the slot's current occupant makes Cancel O(1)
 // and generation-safe — a handle from a previous occupant of a reused
 // slot can never cancel (or observe) its successor.
@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "des/action.hpp"
@@ -29,8 +28,6 @@ namespace wsn::des {
 class Simulator {
  public:
   using Action = InlineAction;
-
-  explicit Simulator(QueueKind queue_kind = QueueKind::kBinaryHeap);
 
   /// Current simulation time.
   double Now() const noexcept { return now_; }
@@ -61,7 +58,7 @@ class Simulator {
   std::uint64_t ProcessedEvents() const noexcept { return processed_; }
 
   /// Live (pending, uncancelled) events.  Counted by the kernel itself,
-  /// so the number is exact even while a lazy-deletion queue still holds
+  /// so the number is exact even while the lazy-deletion queue still holds
   /// cancelled-but-unpopped entries.
   std::size_t PendingEvents() const noexcept { return live_; }
 
@@ -100,7 +97,7 @@ class Simulator {
   std::uint32_t AcquireSlot();
   void ReleaseSlot(std::uint32_t slot);
 
-  std::unique_ptr<EventQueue> queue_;
+  EventQueue queue_;
   std::vector<EventRecord> slab_;
   std::uint32_t free_head_ = kNoFreeSlot;
   double now_ = 0.0;

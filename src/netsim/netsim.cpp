@@ -117,7 +117,6 @@ double CpuAveragePowerMw(const NetSimConfig& config,
 NetworkSimulator::NetworkSimulator(NetSimConfig config, double cpu_power_mw,
                                    util::Rng rng)
     : config_(std::move(config)),
-      sim_(config_.queue_kind),
       rng_(rng),
       routing_(EffectiveSinks(config_), config_.network.max_hop_m,
                config_.positions),

@@ -129,9 +129,6 @@ struct NetSimConfig {
   /// same FIFO order).
   bool batch_mac_wakeups = true;
 
-  /// Event-queue implementation for the underlying DES kernel.
-  des::QueueKind queue_kind = des::QueueKind::kBinaryHeap;
-
   /// Observability switches (metrics registry, packet trace); both off
   /// by default, which keeps the hot path exactly as fast as before the
   /// obs layer existed (pinned by the disabled-mode tests).

@@ -157,7 +157,9 @@ TEST(FaultPlan, DeterministicPerSeedAndSorted) {
     EXPECT_EQ(a.events[k].t, b.events[k].t);
     EXPECT_EQ(a.events[k].kind, b.events[k].kind);
     EXPECT_EQ(a.events[k].node, b.events[k].node);
-    if (k > 0) EXPECT_LE(a.events[k - 1].t, a.events[k].t);
+    if (k > 0) {
+      EXPECT_LE(a.events[k - 1].t, a.events[k].t);
+    }
   }
   ASSERT_EQ(a.jams.size(), 3u);
   ASSERT_EQ(a.sink_outages.size(), 2u);
