@@ -217,7 +217,7 @@ ClusterAssignment AssignToNearestHead(const ClusterView& view,
 
 /// The all-pairs oracle: every alive non-head node scans every head.
 /// O(n * heads) — the pre-grid implementation, kept verbatim as the
-/// equivalence baseline (the routing layer's RecomputeLegacy pattern).
+/// equivalence baseline (the routing layer's RecomputeAllPairs pattern).
 ClusterAssignment AssignToNearestHeadAllPairs(const ClusterView& view,
                                               std::vector<std::size_t> heads);
 

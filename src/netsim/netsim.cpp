@@ -192,7 +192,7 @@ NetworkSimulator::NetworkSimulator(NetSimConfig config, double cpu_power_mw,
   if (config_.obs.metrics) {
     metrics_ = std::make_unique<obs::MetricsRegistry>();
     // Pre-resolved so OnDeath records through a raw pointer; the range
-    // covers incremental repairs (~us) up to legacy full recomputes.
+    // covers incremental repairs (~us) up to full recomputes.
     repair_hist_ = metrics_->TimingHist("netsim.routing.repair_latency_s",
                                         0.0, 0.05, 25);
     if (faults_ != nullptr) {
@@ -575,9 +575,6 @@ void NetworkSimulator::RepairAfterLoss(std::size_t i) {
       case RoutingUpdateMode::kFull:
         routing_.Recompute(alive_);
         break;
-      case RoutingUpdateMode::kLegacy:
-        routing_.RecomputeLegacy(alive_);
-        break;
     }
   }
   const double repair_elapsed = repair_timer.Stop();
@@ -663,9 +660,6 @@ void NetworkSimulator::OnRecover(std::size_t i) {
         break;
       case RoutingUpdateMode::kFull:
         routing_.Recompute(alive_);
-        break;
-      case RoutingUpdateMode::kLegacy:
-        routing_.RecomputeLegacy(alive_);
         break;
     }
   }

@@ -149,7 +149,7 @@ void RoutingTable::Recompute(const std::vector<bool>& alive) {
   }
 }
 
-void RoutingTable::RecomputeLegacy(const std::vector<bool>& alive) {
+void RoutingTable::RecomputeAllPairs(const std::vector<bool>& alive) {
   const std::size_t n = positions_.size();
   Require(alive.size() == n, "alive mask size mismatch");
   unrouted_alive_ = 0;

@@ -22,9 +22,8 @@
 /// then repaired *incrementally* (RepairAfterDeath): only the nodes
 /// whose next hop was the dead node re-choose, via a worklist.  The full
 /// recompute survives in two forms — Recompute (grid-accelerated, the
-/// default oracle) and RecomputeLegacy (the faithful pre-grid all-pairs
-/// scan, kept recompilable so equivalence tests and benchmarks measure
-/// the real former implementation, not a remembered number).
+/// kFull oracle) and RecomputeAllPairs (an all-pairs scan that bypasses
+/// the grid's neighbour lists, a test oracle only).
 #pragma once
 
 #include <cstddef>
@@ -44,9 +43,6 @@ enum class RoutingUpdateMode {
   /// Grid-accelerated full recompute of every node — the correctness
   /// oracle the incremental path is pinned against.
   kFull,
-  /// Faithful pre-grid all-pairs recompute (O(N^2) with a sqrt per
-  /// pair) — the benchmark baseline for the scaling work.
-  kLegacy,
 };
 
 /// Greedy next-hop table over the alive subset of a deployment, with
@@ -74,10 +70,10 @@ class RoutingTable {
   /// scanning each node's precomputed neighbour list.
   void Recompute(const std::vector<bool>& alive);
 
-  /// The pre-grid implementation of Recompute, verbatim: all-pairs with
-  /// a sqrt per pair.  Bit-identical results; kept as the correctness
-  /// oracle and as the honest benchmark baseline.
-  void RecomputeLegacy(const std::vector<bool>& alive);
+  /// Recompute by an O(N^2) all-pairs scan with a sqrt per pair.
+  /// Bit-identical results.  A test oracle: the only reference that does
+  /// not go through the grid's neighbour lists.
+  void RecomputeAllPairs(const std::vector<bool>& alive);
 
   /// Incremental repair after the death of node `dead` (already false in
   /// `alive`): clears the dead node's route and re-chooses the next hop

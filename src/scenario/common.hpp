@@ -1,7 +1,6 @@
 /// \file
 /// Shared configuration helpers for the registered scenarios — the single
-/// home of the paper's Table 2 parameters and the validated effort knobs
-/// that used to be duplicated across nine bench_* mains.
+/// home of the paper's Table 2 parameters and the validated effort knobs.
 #pragma once
 
 #include <cstddef>
@@ -23,9 +22,9 @@ core::CpuParams PaperParams();
 /// The paper evaluates energy over the 1000 s simulated horizon.
 inline constexpr double kEnergyHorizonSeconds = 1000.0;
 
-/// Simulation effort knobs (--sim-time, --replications, --seed), with
-/// the validation the old bench_common lacked: replications >= 1 and a
-/// non-negative seed, rejected before any unsigned cast.  Model-internal
+/// Simulation effort knobs (--sim-time, --replications, --seed),
+/// validated: replications >= 1 and a non-negative seed, rejected before
+/// any unsigned cast.  Model-internal
 /// replication threading is pinned to 1: scenario parallelism happens at
 /// the sweep-grid level, through the scenario's ParallelExecutor.
 core::EvalConfig EvalConfigFromArgs(const util::CliArgs& args);

@@ -1,9 +1,8 @@
 // Registered scenarios for the paper's headline artifacts: Tables 4-5
 // (pairwise model deltas over the PDT sweep) and Figures 4-5 (state
-// shares / energy vs Power Down Threshold).  These used to be four
-// hand-rolled bench_* mains; the sweeps now fan out across the scenario
-// executor, point-parallel for the first time, while staying
-// bit-reproducible per (seed, point).
+// shares / energy vs Power Down Threshold).  The sweeps fan out across
+// the scenario executor, point-parallel, while staying bit-reproducible
+// per (seed, point).
 #include <string>
 #include <vector>
 

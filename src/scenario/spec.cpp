@@ -656,13 +656,10 @@ GenericSpec ParseGeneric(const ObjView& root) {
   }
   if (const auto r = Section(root, "routing")) {
     r->RequireKeys({"rerouting", "update"});
-    const std::string update = r->Choice(
-        "update", "incremental", {"full", "incremental", "legacy"});
-    g.routing_update = update == "incremental"
-                           ? netsim::RoutingUpdateMode::kIncremental
-                           : update == "full"
-                                 ? netsim::RoutingUpdateMode::kFull
-                                 : netsim::RoutingUpdateMode::kLegacy;
+    g.routing_update =
+        r->Choice("update", "incremental", {"full", "incremental"}) == "full"
+            ? netsim::RoutingUpdateMode::kFull
+            : netsim::RoutingUpdateMode::kIncremental;
     g.rerouting = r->Bool("rerouting", g.rerouting);
   }
   if (const auto c = Section(root, "cluster")) {

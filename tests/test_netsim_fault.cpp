@@ -1,6 +1,6 @@
 // Fault-injection engine (ISSUE 8): randomized crash/recover churn
 // pinning RoutingTable::RepairAfterRecovery (and RepairAfterDeath) to
-// the full and legacy recompute oracles after every event; end-to-end
+// the full and all-pairs recompute oracles after every event; end-to-end
 // simulator equivalence across routing-update and head-assignment modes
 // under churn; scripted partition-heal semantics; exponential-backoff
 // timing; the packet-conservation invariant; jam and sink-outage
@@ -53,8 +53,8 @@ std::vector<node::Position> RandomDeployment(util::Rng& rng, std::size_t n,
 // The randomized churn-equivalence suite: 210 random chained
 // crash/recover schedules across several sizes and sink counts.  After
 // EVERY event — crash or recovery — the incrementally maintained table
-// must match both the grid-accelerated full recompute and the faithful
-// legacy all-pairs recompute, route for route and counter for counter.
+// must match both the grid-accelerated full recompute and the all-pairs
+// recompute, route for route and counter for counter.
 TEST(FaultChurnEquivalence, RecoveryRepairMatchesRecomputeOverChurn) {
   util::Rng rng(4242);
   const std::size_t kSequences = 210;
@@ -72,7 +72,7 @@ TEST(FaultChurnEquivalence, RecoveryRepairMatchesRecomputeOverChurn) {
 
     RoutingTable incremental(sinks, hop, pos);
     RoutingTable full(sinks, hop, pos);
-    RoutingTable legacy(sinks, hop, pos);
+    RoutingTable allpairs(sinks, hop, pos);
 
     std::vector<bool> alive(n, true);
     std::vector<std::uint32_t> down;
@@ -103,9 +103,9 @@ TEST(FaultChurnEquivalence, RecoveryRepairMatchesRecomputeOverChurn) {
         incremental.RepairAfterRecovery(revived, alive);
       }
       full.Recompute(alive);
-      legacy.RecomputeLegacy(alive);
+      allpairs.RecomputeAllPairs(alive);
       ExpectTablesEqual(incremental, full, "incremental vs full");
-      ExpectTablesEqual(incremental, legacy, "incremental vs legacy");
+      ExpectTablesEqual(incremental, allpairs, "incremental vs all-pairs");
       if (HasFatalFailure() || HasNonfatalFailure()) {
         FAIL() << "divergence in sequence " << seq << " after step " << step;
       }
@@ -324,10 +324,7 @@ TEST(FaultSimulator, ChurnIdenticalAcrossRoutingUpdateModes) {
 
   cfg.routing_update = RoutingUpdateMode::kFull;
   const NetSimReport full = RunOne(cfg, 321);
-  cfg.routing_update = RoutingUpdateMode::kLegacy;
-  const NetSimReport legacy = RunOne(cfg, 321);
   ExpectReportsEqual(inc, full);
-  ExpectReportsEqual(inc, legacy);
 }
 
 TEST(FaultSimulator, ClusteredChurnIdenticalAcrossAssignModes) {

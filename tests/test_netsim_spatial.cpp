@@ -1,7 +1,7 @@
 // Spatial-grid neighbour index + incremental routing repair (ISSUE 5):
 // grid candidate completeness on boundary/degenerate geometry, and the
 // randomized equivalence suite pinning RepairAfterDeath against the full
-// (and the faithful legacy all-pairs) recompute over random kill
+// (and the all-pairs) recompute over random kill
 // sequences — several sizes, multi-sink, and end-to-end through the
 // simulator including clustered mode.
 #include <gtest/gtest.h>
@@ -266,7 +266,7 @@ std::vector<node::Position> RandomDeployment(util::Rng& rng, std::size_t n,
 // The randomized equivalence suite: 200 random kill sequences across
 // several sizes and sink counts.  After every kill, the incrementally
 // repaired table must match both the grid-accelerated full recompute
-// and the faithful legacy all-pairs recompute, route for route.
+// and the all-pairs recompute, route for route.
 TEST(RoutingEquivalence, IncrementalRepairMatchesFullRecomputeOverKills) {
   util::Rng rng(2008);
   const std::size_t kSequences = 200;
@@ -285,8 +285,8 @@ TEST(RoutingEquivalence, IncrementalRepairMatchesFullRecomputeOverKills) {
 
     RoutingTable incremental(sinks, hop, pos);
     RoutingTable full(sinks, hop, pos);
-    RoutingTable legacy(sinks, hop, pos);
-    ExpectTablesEqual(incremental, legacy, "all-alive construction");
+    RoutingTable allpairs(sinks, hop, pos);
+    ExpectTablesEqual(incremental, allpairs, "all-alive construction");
 
     std::vector<bool> alive(n, true);
     std::vector<std::size_t> order(n);
@@ -301,9 +301,9 @@ TEST(RoutingEquivalence, IncrementalRepairMatchesFullRecomputeOverKills) {
       alive[dead] = false;
       incremental.RepairAfterDeath(dead, alive);
       full.Recompute(alive);
-      legacy.RecomputeLegacy(alive);
+      allpairs.RecomputeAllPairs(alive);
       ExpectTablesEqual(incremental, full, "incremental vs full");
-      ExpectTablesEqual(incremental, legacy, "incremental vs legacy");
+      ExpectTablesEqual(incremental, allpairs, "incremental vs all-pairs");
       if (HasFatalFailure() || HasNonfatalFailure()) {
         FAIL() << "divergence in sequence " << seq << " after kill " << k;
       }
@@ -364,8 +364,8 @@ TEST(RoutingEquivalence, MatchesNetworkNextHopAllAlive) {
 
 // ---------------------------------------------------------------------
 // End-to-end: the simulator must produce identical replications under
-// all three routing-update modes, flat and (trivially, the flag is
-// flat-only) clustered.
+// both routing-update modes, flat and (trivially, the flag is flat-only)
+// clustered.
 
 NetSimConfig ScaleSimConfig(std::size_t cols, std::size_t rows) {
   NetSimConfig cfg;
@@ -410,11 +410,8 @@ TEST(RoutingEquivalence, SimulatorIdenticalAcrossUpdateModesFlat) {
   const NetSimReport inc =
       RunWithMode(cfg, RoutingUpdateMode::kIncremental, 555);
   const NetSimReport full = RunWithMode(cfg, RoutingUpdateMode::kFull, 555);
-  const NetSimReport legacy =
-      RunWithMode(cfg, RoutingUpdateMode::kLegacy, 555);
   EXPECT_GT(inc.routing_repairs, 0u) << "test must exercise repairs";
   ExpectReportsEqual(inc, full);
-  ExpectReportsEqual(inc, legacy);
 }
 
 TEST(RoutingEquivalence, SimulatorIdenticalAcrossUpdateModesMultiSink) {
@@ -422,10 +419,9 @@ TEST(RoutingEquivalence, SimulatorIdenticalAcrossUpdateModesMultiSink) {
   cfg.sinks = {{0.0, 0.0}, {135.0, 105.0}};
   const NetSimReport inc =
       RunWithMode(cfg, RoutingUpdateMode::kIncremental, 808);
-  const NetSimReport legacy =
-      RunWithMode(cfg, RoutingUpdateMode::kLegacy, 808);
+  const NetSimReport full = RunWithMode(cfg, RoutingUpdateMode::kFull, 808);
   EXPECT_GT(inc.routing_repairs, 0u);
-  ExpectReportsEqual(inc, legacy);
+  ExpectReportsEqual(inc, full);
 }
 
 TEST(RoutingEquivalence, SimulatorIdenticalAcrossUpdateModesClustered) {
@@ -438,9 +434,9 @@ TEST(RoutingEquivalence, SimulatorIdenticalAcrossUpdateModesClustered) {
   cfg.cluster.aggregation = 4;
   const NetSimReport inc =
       RunWithMode(cfg, RoutingUpdateMode::kIncremental, 99);
-  const NetSimReport legacy = RunWithMode(cfg, RoutingUpdateMode::kLegacy, 99);
+  const NetSimReport full = RunWithMode(cfg, RoutingUpdateMode::kFull, 99);
   EXPECT_GT(inc.routing_repairs, 0u);
-  ExpectReportsEqual(inc, legacy);
+  ExpectReportsEqual(inc, full);
 }
 
 }  // namespace

@@ -104,6 +104,10 @@ TEST(SpecErrors, UnknownChoiceListsTheVocabulary) {
                 R"({"study": "lifetime", "traffic": {"kind": "fractal"}})"),
             "spec: $.traffic.kind: unknown value 'fractal' (one of: bursty, "
             "steady)");
+  EXPECT_EQ(FailMessage(
+                R"({"study": "generic", "routing": {"update": "legacy"}})"),
+            "spec: $.routing.update: unknown value 'legacy' (one of: full, "
+            "incremental)");
 }
 
 TEST(SpecErrors, BoolKnobRejectsNumbers) {
