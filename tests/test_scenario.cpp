@@ -164,6 +164,110 @@ TEST(ScenarioDeterminism, NetsimClusteredOutputPinnedAcrossSoARefactor) {
   EXPECT_EQ(Fnv1a64(out), 0x659e0f3c8c3316b5ull);
 }
 
+/// Run a parsed spec on `threads` workers and render all three sinks.
+std::string RunSpecAll(const ScenarioSpec& spec, std::size_t threads) {
+  const char* argv[] = {"test"};
+  const util::CliArgs args(1, argv);
+  util::ParallelExecutor executor(threads);
+  ScenarioContext ctx;
+  ctx.args = &args;
+  ctx.executor = &executor;
+  const ResultSet results = RunSpec(ctx, spec);
+  return results.RenderText() + "\n#####\n" + results.RenderCsv() +
+         "\n#####\n" + results.RenderJson();
+}
+
+// Absolute output pins for every netsim study runner and for the
+// generic interpreter's topology, class, fault and cluster paths.  The
+// preset-twin tests below compare two front ends that share one config
+// builder, so they cannot see a change that moves both sides; these
+// hashes can.
+TEST(ScenarioDeterminism, NetsimHeterogeneousOutputPinned) {
+  const std::string out = RunAll("netsim-heterogeneous", {}, 1);
+  EXPECT_EQ(out.size(), 3359u);
+  EXPECT_EQ(Fnv1a64(out), 0xb04d846c788a9fffull);
+}
+
+TEST(ScenarioDeterminism, NetsimFaultsOutputPinned) {
+  const std::string out =
+      RunAll("netsim-faults",
+             {"--crash-rates=0.001", "--outages=150", "--nodes=48",
+              "--horizon=600", "--replications=2"},
+             1);
+  EXPECT_EQ(out.size(), 4312u);
+  EXPECT_EQ(Fnv1a64(out), 0x46e572e83b6465f9ull);
+}
+
+TEST(ScenarioDeterminism, ClusterAblationOutputPinned) {
+  const std::string out =
+      RunAll("cluster-ablation",
+             {"--cols=4", "--rows=4", "--horizon=600", "--replications=2",
+              "--round=50"},
+             1);
+  EXPECT_EQ(out.size(), 4891u);
+  EXPECT_EQ(Fnv1a64(out), 0x5f55f3a390bf4f60ull);
+}
+
+// The throughput study times itself, so only its deterministic parts
+// are pinned: scenario name, meta (minus the machine's hardware thread
+// count), table headers, the mode/threads cells and the cross-check
+// note.
+TEST(ScenarioDeterminism, NetsimThroughputClusteredDeterministicPartsPinned) {
+  std::vector<const char*> argv = {"test", "--cols=4", "--rows=4",
+                                   "--horizon=50", "--replications=4",
+                                   "--clustered"};
+  const util::CliArgs args(static_cast<int>(argv.size()), argv.data());
+  util::ParallelExecutor executor(2);
+  ScenarioContext ctx;
+  ctx.args = &args;
+  ctx.executor = &executor;
+  const ResultSet results = Lookup("netsim-throughput").Run(ctx);
+  const util::JsonValue doc =
+      util::ParseJson(results.Render(OutputFormat::kJson));
+  std::string out = doc.Find("scenario")->AsString() + "\n";
+  for (const auto& [key, value] : doc.Find("meta")->Members()) {
+    if (key != "hardware-threads") out += key + "=" + value.AsString() + "\n";
+  }
+  const util::JsonValue& table = doc.Find("tables")->Items()[0];
+  for (const util::JsonValue& h : table.Find("headers")->Items()) {
+    out += h.AsString() + "|";
+  }
+  out += "\n";
+  for (const util::JsonValue& row : table.Find("rows")->Items()) {
+    out += row.Items()[0].AsString() + "|" + row.Items()[1].AsString() + "\n";
+  }
+  for (const util::JsonValue& note : doc.Find("notes")->Items()) {
+    out += note.AsString() + "\n";
+  }
+  EXPECT_EQ(out.size(), 300u);
+  EXPECT_EQ(Fnv1a64(out), 0xc546487e1edb92a2ull);
+}
+
+TEST(ScenarioDeterminism, GenericSpecOutputPinned) {
+  const ScenarioSpec spec = ParseScenarioSpec(
+      R"({"study": "generic",
+          "topology": {"nodes": 30, "spacing": 15, "hop": 40, "sinks": 3},
+          "node": {"rate": 1, "battery_mah": 0.05},
+          "traffic": {"kind": "bursty"},
+          "cluster": {"round_s": 50, "aggregation": 3},
+          "classes": {"advanced_fraction": 0.2, "battery_factor": 3,
+                      "placement": "hotspot"},
+          "faults": {"crash_rate": 0.001, "outage_s": 100,
+                     "jam_windows": 2, "jam_radius": 40,
+                     "sink_outages": 1, "sink_outage_s": 30},
+          "sweep": [{"key": "cluster.head_fraction", "values": [0.1, 0.2]}],
+          "run": {"horizon_s": 400, "replications": 2, "seed": 7},
+          "output": {"columns": ["generated", "delivered", "dropped",
+                                 "delivery_ratio", "first_death_s",
+                                 "partition_s", "crashes", "recoveries",
+                                 "healed", "in_flight", "events",
+                                 "conserved"]},
+          "verify": {"oracle": true}})");
+  const std::string out = RunSpecAll(spec, 1);
+  EXPECT_EQ(out.size(), 3252u);
+  EXPECT_EQ(Fnv1a64(out), 0x53babefbfe9c7b45ull);
+}
+
 // Preset round-trip pins (ISSUE 9): every committed preset file under
 // presets/ is the declarative twin of a registered scenario.  Running
 // it through `wsnctl run --file`'s load-and-interpret path must render
