@@ -1,8 +1,11 @@
 #include "scenario/common.hpp"
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 
 #include "obs/session.hpp"
+#include "scenario/studies.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -43,12 +46,19 @@ util::FlagSpec PointsFlag() {
   return {"points", "K", "11", "sweep resolution over the PDT grid (>= 2)"};
 }
 
-netsim::ReplicationConfig NetsimRepConfig(const util::CliArgs& args,
-                                          std::size_t default_reps) {
-  netsim::ReplicationConfig rep;
-  rep.replications = args.GetCount("replications", default_reps, 1);
-  rep.seed = static_cast<std::uint64_t>(args.GetCount("seed", 2008));
-  return rep;
+void ApplyEffortFlags(const util::CliArgs& args, GenericSpec& g) {
+  g.replications = args.GetCount("replications", g.replications, 1);
+  g.seed = static_cast<std::uint64_t>(args.GetCount("seed", g.seed));
+}
+
+std::string CompactNumber(double v) {
+  char buf[32];
+  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9.0e15) {
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof buf, "%g", v);
+  }
+  return buf;
 }
 
 std::string ObservedCell(std::size_t observed, std::size_t total) {

@@ -38,11 +38,15 @@ std::vector<util::FlagSpec> CommonEvalFlags();
 /// FlagSpec for --points.
 util::FlagSpec PointsFlag();
 
-/// Netsim replication effort knobs (--replications, --seed), shared by
-/// every netsim scenario.  Callers opting into per-replication reports
-/// set `keep_reports` on the result themselves.
-netsim::ReplicationConfig NetsimRepConfig(const util::CliArgs& args,
-                                          std::size_t default_reps);
+struct GenericSpec;
+
+/// Netsim replication effort flags (--replications >= 1, --seed >= 0)
+/// over `g`'s defaults, shared by every netsim study wrapper.
+void ApplyEffortFlags(const util::CliArgs& args, GenericSpec& g);
+
+/// Compact number rendering for labels and error messages: integers
+/// without a decimal point, everything else in %g form.
+std::string CompactNumber(double v);
 
 /// "k/n reps" observation cell for replication summary tables.
 std::string ObservedCell(std::size_t observed, std::size_t total);

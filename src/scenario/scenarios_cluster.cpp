@@ -3,9 +3,12 @@
 // node-class (SEP-style) deployment with its analytic cross-check, and
 // the policy ablation (flat vs static clusters vs rotating clusters)
 // where network lifetime depends on protocol choice, not just energy
-// bookkeeping.  The clustered and heterogeneous studies are thin
-// flag-parsing wrappers over scenario/studies.{hpp,cpp}, shared with
-// the declarative spec interpreter.
+// bookkeeping.  Each scenario starts from its study's GenericSpec
+// defaults and overrides them with its flags.  The clustered and
+// heterogeneous scenarios then call their study's renderer in
+// scenario/studies.{hpp,cpp}, the one a `wsnctl run --file` spec of that
+// study also reaches; the ablation builds its three configs with the
+// same BuildNetSimConfig.
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,31 +24,31 @@
 namespace wsn::scenario {
 namespace {
 
-GridStudyParams GridParamsFromArgs(const util::CliArgs& args,
-                                   std::size_t default_cols,
-                                   std::size_t default_rows) {
-  GridStudyParams p;
-  p.cols = args.GetCount("cols", default_cols, 1);
-  p.rows = args.GetCount("rows", default_rows, 1);
-  p.spacing_m = args.GetDouble("spacing", 15.0);
-  p.hop_m = args.GetDouble("hop", 40.0);
-  p.rate_hz = args.GetDouble("rate", 2.0);
-  p.battery_mah = args.GetDouble("battery-mah", 0.05);
-  p.horizon_s = args.GetDouble("horizon", 2000.0);
-  p.sinks = args.GetCount("sinks", 1, 1);
-  util::Require(p.sinks <= 4, "flag --sinks must be in 1..4");
-  return p;
+/// The grid, node and horizon flags shared by the three scenarios, plus
+/// --hop and --sinks, over `g`'s defaults.
+void ApplyGridFlags(const util::CliArgs& args, GenericSpec& g) {
+  g.cols = args.GetCount("cols", g.cols, 1);
+  g.rows = args.GetCount("rows", g.rows, 1);
+  g.spacing_m = args.GetDouble("spacing", g.spacing_m);
+  g.hop_m = args.GetDouble("hop", g.hop_m);
+  g.rate_hz = args.GetDouble("rate", g.rate_hz);
+  g.battery_mah = args.GetDouble("battery-mah", g.battery_mah);
+  g.horizon_s = args.GetDouble("horizon", g.horizon_s);
+  g.sinks = args.GetCount("sinks", g.sinks, 1);
+  util::Require(g.sinks <= 4, "flag --sinks must be in 1..4");
 }
 
-ClusterKnobs ClusterKnobsFromArgs(const util::CliArgs& args) {
-  ClusterKnobs knobs;
-  knobs.protocol = netsim::ParseClusterProtocolKind(
-      args.GetString("protocol", "leach"));
-  knobs.head_fraction = args.GetDouble("head-fraction", 0.1);
-  knobs.static_heads = args.GetCount("static-heads", 0);
-  knobs.round_s = args.GetDouble("round", 25.0);
-  knobs.aggregation = args.GetCount("aggregation", 4, 1);
-  return knobs;
+/// The ClusterFlags knobs except --sinks, over `g`'s defaults.
+void ApplyClusterFlags(const util::CliArgs& args, GenericSpec& g) {
+  g.cluster.protocol = netsim::ParseClusterProtocolKind(args.GetString(
+      "protocol", netsim::ClusterProtocolKindName(g.cluster.protocol)));
+  g.cluster.head_fraction =
+      args.GetDouble("head-fraction", g.cluster.head_fraction);
+  g.cluster.static_heads =
+      args.GetCount("static-heads", g.cluster.static_heads);
+  g.cluster.round_s = args.GetDouble("round", g.cluster.round_s);
+  g.cluster.aggregation =
+      args.GetCount("aggregation", g.cluster.aggregation, 1);
 }
 
 std::vector<util::FlagSpec> GridFlags(const std::string& cols,
@@ -79,13 +82,11 @@ std::vector<util::FlagSpec> ClusterFlags() {
 // node grid — head rotation, in-cluster aggregation, multi-sink uplink.
 ResultSet RunNetsimClustered(const ScenarioContext& ctx) {
   const util::CliArgs& args = ctx.Args();
-  ClusteredStudyParams p;
-  p.grid = GridParamsFromArgs(args, 6, 6);
-  p.cluster = ClusterKnobsFromArgs(args);
-  const netsim::ReplicationConfig rep = NetsimRepConfig(args, 8);
-  p.replications = rep.replications;
-  p.seed = rep.seed;
-  return RunClusteredStudy(ctx, p);
+  GenericSpec g = ClusteredDefaults();
+  ApplyGridFlags(args, g);
+  ApplyClusterFlags(args, g);
+  ApplyEffortFlags(args, g);
+  return RunClusteredStudy(ctx, g);
 }
 
 // ------------------------------------------------------------------------
@@ -96,15 +97,19 @@ ResultSet RunNetsimClustered(const ScenarioContext& ctx) {
 // the simulated time to first death.
 ResultSet RunNetsimHeterogeneous(const ScenarioContext& ctx) {
   const util::CliArgs& args = ctx.Args();
-  HeterogeneousStudyParams p;
-  p.grid = GridParamsFromArgs(args, 6, 4);
-  p.advanced_fraction = args.GetDouble("advanced-fraction", 0.2);
-  p.battery_factor = args.GetDouble("battery-factor", 3.0);
-  p.placement = args.GetString("placement", "hotspot");
-  const netsim::ReplicationConfig rep = NetsimRepConfig(args, 16);
-  p.replications = rep.replications;
-  p.seed = rep.seed;
-  return RunHeterogeneousStudy(ctx, p);
+  GenericSpec g = HeterogeneousDefaults();
+  ApplyGridFlags(args, g);
+  g.advanced_fraction =
+      args.GetDouble("advanced-fraction", g.advanced_fraction);
+  g.battery_factor = args.GetDouble("battery-factor", g.battery_factor);
+  g.placement = args.GetString("placement", g.placement);
+  ApplyEffortFlags(args, g);
+  util::Require(g.advanced_fraction >= 0.0 && g.advanced_fraction <= 1.0,
+                "advanced fraction must be in [0, 1]");
+  util::Require(g.battery_factor > 0.0, "battery factor must be positive");
+  util::Require(g.placement == "hotspot" || g.placement == "spread",
+                "placement must be hotspot or spread");
+  return RunHeterogeneousStudy(ctx, g);
 }
 
 // ------------------------------------------------------------------------
@@ -113,20 +118,22 @@ ResultSet RunNetsimHeterogeneous(const ScenarioContext& ctx) {
 // that lifetime is a function of protocol policy.
 ResultSet RunClusterAblation(const ScenarioContext& ctx) {
   const util::CliArgs& args = ctx.Args();
-  const GridStudyParams grid = GridParamsFromArgs(args, 6, 6);
-  netsim::NetSimConfig base = BuildGridConfig(grid);
+  GenericSpec g = ClusteredDefaults();
+  ApplyGridFlags(args, g);
+  ApplyClusterFlags(args, g);
+  ApplyEffortFlags(args, g);
 
-  netsim::NetSimConfig flat = base;  // greedy multi-hop, no clustering
+  g.clustered = false;  // greedy multi-hop, no clustering
+  netsim::NetSimConfig flat = BuildNetSimConfig(g);
+  g.clustered = true;
+  g.cluster.protocol = netsim::ClusterProtocolKind::kLeach;
+  netsim::NetSimConfig leach = BuildNetSimConfig(g);
+  g.cluster.protocol = netsim::ClusterProtocolKind::kStatic;
+  netsim::NetSimConfig still = BuildNetSimConfig(g);
 
-  netsim::NetSimConfig leach = base;
-  ClusterKnobs knobs = ClusterKnobsFromArgs(args);
-  knobs.protocol = netsim::ClusterProtocolKind::kLeach;
-  ApplyClusterKnobs(leach, knobs);
-
-  netsim::NetSimConfig still = leach;
-  still.cluster.protocol = netsim::ClusterProtocolKind::kStatic;
-
-  const netsim::ReplicationConfig rep = NetsimRepConfig(args, 8);
+  netsim::ReplicationConfig rep;
+  rep.replications = g.replications;
+  rep.seed = g.seed;
   const core::MarkovCpuModel model;
   ApplyObs(ctx, flat);
   ApplyObs(ctx, still);
@@ -143,7 +150,7 @@ ResultSet RunClusterAblation(const ScenarioContext& ctx) {
 
   ResultSet results(
       "cluster ablation: flat vs static heads vs LEACH-style rotation");
-  results.SetMeta("nodes", std::to_string(base.positions.size()));
+  results.SetMeta("nodes", std::to_string(flat.positions.size()));
   results.SetMeta("round", util::FormatFixed(leach.cluster.round_s, 0) + " s");
   results.SetMeta("head fraction",
                   util::FormatFixed(leach.cluster.head_fraction, 2));

@@ -166,7 +166,6 @@ ResultSet RunWsnLifetime(const ScenarioContext& ctx) {
                        : cpu == "atmega" ? energy::Atmega128L()
                                          : energy::Pxa271();
   cfg.node.sample_bits = 256;
-  cfg.node.listen_duty_cycle = 0.01;
   cfg.node.battery_mah = 2500.0;
   cfg.sink = {0.0, 0.0};
   cfg.max_hop_m = ctx.Args().GetDouble("hop", 50.0);

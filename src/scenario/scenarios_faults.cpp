@@ -1,14 +1,14 @@
-// Registered fault-injection / chaos scenario (ISSUE 8): a crash-rate x
+// Registered fault-injection / chaos scenario: a crash-rate x
 // outage-length sweep of the deterministic fault engine, run flat and
 // clustered on the same deployment, with every replication
-// differentially verified against its oracle twin.  A thin flag-parsing
-// wrapper over RunFaultStudy in scenario/studies.{hpp,cpp} — see that
-// file for the oracle-twin differential design; the spec interpreter
-// (`wsnctl run --file`) drives the same runner.
+// differentially verified against its oracle twin.  The wrapper starts
+// from FaultDefaults(), maps --crash-rates / --outages onto the spec's
+// two sweep axes and the other flags onto its knobs, and calls
+// RunFaultStudy in scenario/studies.{hpp,cpp} — the renderer a
+// `wsnctl run --file` faults spec also reaches.
 #include <string>
 #include <vector>
 
-#include "netsim/replication.hpp"
 #include "scenario/common.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/studies.hpp"
@@ -48,28 +48,41 @@ std::vector<double> ParsePositiveCsv(const std::string& csv,
   return values;
 }
 
+/// An optional window-length flag: absent keeps 0 (the study's
+/// horizon / 10 default); present must be > 0.
+double OptionalLength(const util::CliArgs& args, const char* flag) {
+  if (!args.Has(flag)) return 0.0;
+  const double v = args.GetDouble(flag, 0.0);
+  util::Require(v > 0.0, std::string("flag --") + flag +
+                             " must be positive (got " + CompactNumber(v) +
+                             ")");
+  return v;
+}
+
 ResultSet RunNetsimFaults(const ScenarioContext& ctx) {
   const util::CliArgs& args = ctx.Args();
-  FaultStudyParams p;
-  p.nodes = args.GetCount("nodes", 144, 2);
-  p.spacing_m = args.GetDouble("spacing", 15.0);
-  p.hop_m = args.GetDouble("hop", 40.0);
-  p.rate_hz = args.GetDouble("rate", 0.05);
-  p.horizon_s = args.GetDouble("horizon", 2000.0);
-  p.crash_rates = ParsePositiveCsv(
-      args.GetString("crash-rates", "0.0002,0.001"), "crash-rates");
-  p.outages =
-      ParsePositiveCsv(args.GetString("outages", "100,400"), "outages");
-  p.jam_windows = args.GetCount("jam-windows", 2, 0);
-  p.jam_radius_m = args.GetDouble("jam-radius", 45.0);
-  p.jam_duration_s = args.GetDouble("jam-duration", p.horizon_s / 10.0);
-  p.jam_p_loss = args.GetDouble("jam-ploss", 0.5);
-  p.sink_outages = args.GetCount("sink-outages", 1, 0);
-  p.sink_outage_s = args.GetDouble("sink-outage", p.horizon_s / 10.0);
-  const netsim::ReplicationConfig rep = NetsimRepConfig(args, 4);
-  p.replications = rep.replications;
-  p.seed = rep.seed;
-  return RunFaultStudy(ctx, p);
+  GenericSpec g = FaultDefaults();
+  g.nodes = args.GetCount("nodes", g.nodes, 2);
+  g.spacing_m = args.GetDouble("spacing", g.spacing_m);
+  g.hop_m = args.GetDouble("hop", g.hop_m);
+  g.rate_hz = args.GetDouble("rate", g.rate_hz);
+  g.horizon_s = args.GetDouble("horizon", g.horizon_s);
+  if (args.Has("crash-rates")) {
+    SweepValues(g, "faults.crash_rate") =
+        ParsePositiveCsv(args.GetString("crash-rates", ""), "crash-rates");
+  }
+  if (args.Has("outages")) {
+    SweepValues(g, "faults.outage_s") =
+        ParsePositiveCsv(args.GetString("outages", ""), "outages");
+  }
+  g.jam_windows = args.GetCount("jam-windows", g.jam_windows, 0);
+  g.jam_radius_m = args.GetDouble("jam-radius", g.jam_radius_m);
+  g.jam_duration_s = OptionalLength(args, "jam-duration");
+  g.jam_p_loss = args.GetDouble("jam-ploss", g.jam_p_loss);
+  g.sink_outages = args.GetCount("sink-outages", g.sink_outages, 0);
+  g.sink_outage_s = OptionalLength(args, "sink-outage");
+  ApplyEffortFlags(args, g);
+  return RunFaultStudy(ctx, g);
 }
 
 const ScenarioRegistrar reg_netsim_faults(MakeScenario(
@@ -89,11 +102,12 @@ const ScenarioRegistrar reg_netsim_faults(MakeScenario(
         {"outages", "CSV", "100,400", "mean outage durations to sweep (s)"},
         {"jam-windows", "N", "2", "regional jam windows per run (0 = none)"},
         {"jam-radius", "M", "45", "jam disc radius (m)"},
-        {"jam-duration", "S", "", "jam window length (s); default horizon/10"},
+        {"jam-duration", "S", "",
+         "jam window length (s, > 0); default horizon/10"},
         {"jam-ploss", "P", "0.5", "extra per-attempt loss inside a jam"},
         {"sink-outages", "N", "1", "sink outage windows per run (0 = none)"},
         {"sink-outage", "S", "",
-         "sink outage window length (s); default horizon/10"},
+         "sink outage window length (s, > 0); default horizon/10"},
         {"replications", "R", "4", "replications per cell (>= 1)"},
         {"seed", "N", "2008", "master RNG seed (non-negative)"},
     },

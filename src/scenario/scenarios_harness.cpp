@@ -98,12 +98,12 @@ struct ChaosParams {
 std::vector<std::string> PointCells(const ChaosParams& params,
                                     std::size_t point, std::uint64_t seed,
                                     util::ParallelExecutor& executor) {
-  GridStudyParams grid;
-  grid.cols = 4;
-  grid.rows = 3;
-  grid.rate_hz = 1.0 + 0.5 * static_cast<double>(point);
-  grid.horizon_s = params.horizon_s;
-  netsim::NetSimConfig cfg = BuildGridConfig(grid);
+  GenericSpec spec;
+  spec.cols = 4;
+  spec.rows = 3;
+  spec.rate_hz = 1.0 + 0.5 * static_cast<double>(point);
+  spec.horizon_s = params.horizon_s;
+  const netsim::NetSimConfig cfg = BuildNetSimConfig(spec);
   netsim::ReplicationConfig rep;
   rep.replications = params.replications;
   rep.seed = seed;
@@ -112,7 +112,7 @@ std::vector<std::string> PointCells(const ChaosParams& params,
   const netsim::ReplicationSummary summary =
       netsim::RunReplications(cfg, model, rep, executor);
   const std::string label =
-      "rate=" + util::FormatFixed(grid.rate_hz, 1);
+      "rate=" + util::FormatFixed(spec.rate_hz, 1);
   for (std::size_t r = 0; r < summary.reports.size(); ++r) {
     RequireConserved(summary.reports[r], "chaos point '" + label + "'", r);
   }

@@ -1,14 +1,13 @@
 // Registered scenarios for the packet-level network simulator: the
 // lifetime study (deaths, re-routing, partition under bursty traffic)
-// and the replication-throughput benchmark.  Thin flag-parsing wrappers
-// over the shared study runners in scenario/studies.{hpp,cpp}, which
-// the declarative spec interpreter (`wsnctl run --file`) drives with
-// the same params — both paths are byte-identical by construction.
+// and the replication-throughput benchmark.  Each wrapper starts from
+// its study's GenericSpec defaults, overrides them with its flags and
+// calls the study's renderer in scenario/studies.{hpp,cpp} — the same
+// defaults and renderer a `wsnctl run --file` spec of that study uses.
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "netsim/replication.hpp"
 #include "scenario/common.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/studies.hpp"
@@ -16,37 +15,35 @@
 namespace wsn::scenario {
 namespace {
 
+/// The --cols/--rows/--spacing/--hop/--rate flags shared by both
+/// studies, over `g`'s defaults.
+void ApplyTopologyFlags(const util::CliArgs& args, GenericSpec& g) {
+  g.cols = args.GetCount("cols", g.cols, 1);
+  g.rows = args.GetCount("rows", g.rows, 1);
+  g.spacing_m = args.GetDouble("spacing", g.spacing_m);
+  g.hop_m = args.GetDouble("hop", g.hop_m);
+  g.rate_hz = args.GetDouble("rate", g.rate_hz);
+}
+
 ResultSet RunNetsimLifetime(const ScenarioContext& ctx) {
   const util::CliArgs& args = ctx.Args();
-  LifetimeStudyParams p;
-  p.cols = args.GetCount("cols", 10, 1);
-  p.rows = args.GetCount("rows", 5, 1);
-  p.spacing_m = args.GetDouble("spacing", 15.0);
-  p.hop_m = args.GetDouble("hop", 40.0);
-  p.rate_hz = args.GetDouble("rate", 2.0);
-  p.battery_mah = args.GetDouble("battery-mah", 0.05);
-  p.horizon_s = args.GetDouble("horizon", 4000.0);
-  p.steady = args.GetBool("steady");
-  const netsim::ReplicationConfig rep = NetsimRepConfig(args, 8);
-  p.replications = rep.replications;
-  p.seed = rep.seed;
-  return RunLifetimeStudy(ctx, p);
+  GenericSpec g = LifetimeDefaults();
+  ApplyTopologyFlags(args, g);
+  g.battery_mah = args.GetDouble("battery-mah", g.battery_mah);
+  g.horizon_s = args.GetDouble("horizon", g.horizon_s);
+  g.bursty = !args.GetBool("steady");
+  ApplyEffortFlags(args, g);
+  return RunLifetimeStudy(ctx, g);
 }
 
 ResultSet RunNetsimThroughput(const ScenarioContext& ctx) {
   const util::CliArgs& args = ctx.Args();
-  ThroughputStudyParams p;
-  p.cols = args.GetCount("cols", 10, 1);
-  p.rows = args.GetCount("rows", 10, 1);
-  p.spacing_m = args.GetDouble("spacing", 25.0);
-  p.hop_m = args.GetDouble("hop", 40.0);
-  p.rate_hz = args.GetDouble("rate", 2.0);
-  p.horizon_s = args.GetDouble("horizon", 30.0);
-  p.clustered = args.GetBool("clustered");
-  const netsim::ReplicationConfig rep = NetsimRepConfig(args, 32);
-  p.replications = rep.replications;
-  p.seed = rep.seed;
-  return RunThroughputStudy(ctx, p);
+  GenericSpec g = ThroughputDefaults();
+  ApplyTopologyFlags(args, g);
+  g.horizon_s = args.GetDouble("horizon", g.horizon_s);
+  g.clustered = args.GetBool("clustered");
+  ApplyEffortFlags(args, g);
+  return RunThroughputStudy(ctx, g);
 }
 
 std::vector<util::FlagSpec> TopologyFlags(const std::string& cols,

@@ -2,21 +2,20 @@
 /// Declarative scenario specs: a validated JSON description of a netsim
 /// experiment — topology, node hardware, traffic, MAC, routing mode,
 /// cluster knobs, fault injection, sweep axes, replication effort,
-/// output columns and verification switches — interpreted by the same
-/// study runners the registered scenarios wrap (scenario/studies.hpp).
+/// output columns and verification switches — parsed into the one
+/// deployment description, GenericSpec (scenario/studies.hpp), and
+/// rendered by the study it names.
 ///
-/// Two front ends, one implementation: `wsnctl run netsim-lifetime`
-/// parses CLI flags into LifetimeStudyParams; `wsnctl run --file
-/// exp.json` parses a spec into the same struct and calls the same
-/// runner.  A committed preset file is therefore byte-identical to its
-/// compiled-in twin (tests/test_scenario.cpp pins this for every file
-/// under presets/).
-///
-/// The `study` key selects the interpretation:
+/// The `study` key selects the defaults, the accepted keys and the
+/// renderer.  One table-driven parser serves every study:
 ///
 ///   * "lifetime" / "throughput" / "clustered" / "heterogeneous" /
-///     "faults" re-express the registered scenarios — only the knobs
-///     those scenarios expose are accepted;
+///     "faults" start from the named study's defaults and accept only
+///     the subset of the generic schema that the registered scenario
+///     exposes as flags (the faults study's `crash_rates` / `outages`
+///     arrays are its two sweep axes); their renderers are the ones
+///     `wsnctl run netsim-*` calls, so a committed preset is
+///     byte-identical to its registry twin;
 ///   * "generic" opens the full knob surface (MAC loss/LPL, routing
 ///     update mode, stop conditions, scalar faults, node classes, up to
 ///     three sweep axes, selectable output columns) plus the `verify`
@@ -33,96 +32,18 @@
 /// before anything runs.  docs/scenarios.md is the schema reference.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "netsim/netsim.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/studies.hpp"
 
 namespace wsn::scenario {
 
-/// One sweep axis of a generic study: the spec path of a sweepable knob
-/// and the values the sweep grid takes.
-struct SweepAxis {
-  std::string key;             ///< e.g. "node.rate" (see docs/scenarios.md)
-  std::vector<double> values;  ///< >= 1 entries, each range-checked
-};
-
-/// The full knob surface of a `"study": "generic"` spec, with the
-/// defaults the schema documents.  All knobs validated at parse time.
-struct GenericSpec {
-  // topology — either a cols x rows grid or a near-square `nodes` grid.
-  std::size_t cols = 6;
-  std::size_t rows = 6;
-  std::size_t nodes = 0;  ///< > 0: near-square grid of exactly n nodes
-  double spacing_m = 15.0;
-  double hop_m = 40.0;
-  std::size_t sinks = 1;  ///< 1..4, extra sinks at deployment corners
-
-  // node hardware (Msp430 CPU, 1024-bit samples, 1% listen duty cycle)
-  double rate_hz = 1.0;
-  double battery_mah = 0.05;
-
-  // traffic
-  bool bursty = false;  ///< MMPP quiet/storm instead of steady Poisson
-
-  // mac
-  double p_loss = 0.0;
-  double wakeup_interval_s = 0.0;
-  std::size_t max_retries = 3;
-  std::size_t max_queue = 1024;
-
-  // routing (flat mode)
-  netsim::RoutingUpdateMode routing_update =
-      netsim::RoutingUpdateMode::kIncremental;
-  bool rerouting = true;
-
-  // cluster — enabled by the presence of the `cluster` section.
-  bool clustered = false;
-  ClusterKnobs cluster;
-  netsim::HeadAssignMode assign = netsim::HeadAssignMode::kGrid;
-
-  // classes — two-class deployment when advanced_fraction > 0.
-  double advanced_fraction = 0.0;
-  double battery_factor = 1.0;
-  std::string placement = "hotspot";  ///< "hotspot" or "spread"
-
-  // faults (scalars; 0 disables each class)
-  double crash_rate_hz = 0.0;
-  double outage_s = 0.0;
-  std::size_t jam_windows = 0;
-  double jam_radius_m = 45.0;
-  double jam_duration_s = 0.0;  ///< 0 = horizon_s / 10
-  double jam_p_loss = 0.5;
-  std::size_t sink_outages = 0;
-  double sink_outage_s = 0.0;  ///< 0 = horizon_s / 10
-
-  // run
-  double horizon_s = 1000.0;
-  std::string stop_at = "horizon";  ///< "horizon" | "first_death" | "partition"
-  std::size_t replications = 4;
-  std::uint64_t seed = 2008;
-
-  // sweep / output / verify
-  std::vector<SweepAxis> sweep;       ///< <= 3 axes, <= 64 cells total
-  std::vector<std::string> columns;   ///< empty = the default column set
-  bool verify_oracle = false;
-  bool verify_analytic = false;
-};
-
-/// A parsed, fully validated scenario spec.  `study` names which params
-/// struct is live; the others hold their defaults.
+/// A parsed, fully validated scenario spec: the study it names and the
+/// deployment it describes.
 struct ScenarioSpec {
   std::string study;  ///< "lifetime" | "throughput" | "clustered" |
                       ///< "heterogeneous" | "faults" | "generic"
-  LifetimeStudyParams lifetime;
-  ThroughputStudyParams throughput;
-  ClusteredStudyParams clustered;
-  HeterogeneousStudyParams heterogeneous;
-  FaultStudyParams faults;
   GenericSpec generic;
 };
 
@@ -134,9 +55,7 @@ ScenarioSpec ParseScenarioSpec(const std::string& json_text);
 /// Read `path` and parse it; errors are prefixed with the file path.
 ScenarioSpec LoadScenarioSpecFile(const std::string& path);
 
-/// Run a validated spec: dispatches the named studies onto their shared
-/// runners and interprets generic specs (sweep grid, column selection,
-/// conservation / oracle / analytic verification).
+/// Run a validated spec through its study's renderer.
 ResultSet RunSpec(const ScenarioContext& ctx, const ScenarioSpec& spec);
 
 }  // namespace wsn::scenario

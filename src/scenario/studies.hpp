@@ -1,19 +1,25 @@
 /// \file
-/// The netsim study runners behind the registered scenarios, factored
-/// out of the scenarios_*.cpp registration files so two front ends can
-/// share one byte-exact implementation:
+/// The one netsim deployment description, the one builder that turns it
+/// into a NetSimConfig, and the study renderers over it.
 ///
-///   * the registry wrappers (`wsnctl run netsim-lifetime ...`) parse
-///     their flag vocabulary into a params struct and call the runner;
-///   * the declarative spec interpreter (`wsnctl run --file exp.json`,
-///     scenario/spec.hpp) maps a validated JSON spec onto the same
-///     struct and calls the same runner.
+/// Every netsim study is a GenericSpec.  A named study (lifetime,
+/// throughput, clustered, heterogeneous, faults) is three things:
 ///
-/// Because both paths execute identical code on identical params, a
-/// committed preset file is byte-identical to its compiled-in twin —
-/// the property tests/test_scenario.cpp pins.  Params structs carry the
-/// registry defaults in their member initializers; callers validate
-/// their own input surface (CLI flags or spec paths) before calling.
+///   * its defaults — the `*Defaults()` functions below;
+///   * its accepted-key subset of the generic spec schema — the study
+///     table in scenario/spec.cpp;
+///   * its renderer — `Run*Study(ctx, spec)`, which builds the config
+///     with BuildNetSimConfig, applies only its own documented
+///     adjustments and renders its own tables.
+///
+/// Two front ends start from the same defaults and call the same
+/// renderer: the registry flag wrappers (`wsnctl run netsim-lifetime
+/// ...`, scenarios_netsim.cpp / scenarios_cluster.cpp /
+/// scenarios_faults.cpp) and the spec parser (`wsnctl run --file
+/// exp.json`, scenario/spec.hpp).  A committed preset is therefore
+/// byte-identical to its registry twin — the property
+/// tests/test_scenario.cpp pins.  Callers validate their own input
+/// surface (CLI flags or spec paths) before calling.
 #pragma once
 
 #include <cstddef>
@@ -28,31 +34,16 @@
 
 namespace wsn::scenario {
 
-// ---------------------------------------------------------------- shared
+// ------------------------------------------------------------- the spec
 
-/// Near-square grid deployment trimmed to exactly `n` nodes (the fault
-/// study's and the generic interpreter's `nodes` topology).
-std::vector<node::Position> NearSquareGrid(std::size_t n, double spacing);
-
-/// Grid topology + node hardware shared by the clustered studies: a
-/// node grid reporting toward corner sinks with small batteries so
-/// every run shows the full lifetime arc within a short horizon.
-struct GridStudyParams {
-  std::size_t cols = 6;       ///< grid columns (>= 1)
-  std::size_t rows = 6;       ///< grid rows (>= 1)
-  double spacing_m = 15.0;    ///< grid spacing (m)
-  double hop_m = 40.0;        ///< max radio hop range (m)
-  double rate_hz = 2.0;       ///< per-node report rate (1/s)
-  double battery_mah = 0.05;  ///< per-node battery capacity
-  double horizon_s = 2000.0;  ///< simulation horizon (s)
-  std::size_t sinks = 1;      ///< sink count, 1..4 (deployment corners)
+/// One sweep axis: the spec path of a sweepable knob and the values the
+/// sweep grid takes.
+struct SweepAxis {
+  std::string key;             ///< e.g. "node.rate" (see docs/scenarios.md)
+  std::vector<double> values;  ///< >= 1 entries, each range-checked
 };
 
-/// Build the NetSimConfig implied by `p` (Msp430 CPU, 1024-bit samples,
-/// 1% listen duty cycle, corner sinks).
-netsim::NetSimConfig BuildGridConfig(const GridStudyParams& p);
-
-/// Cluster-protocol knobs shared by the clustered studies.
+/// Cluster-protocol knobs of a clustered deployment.
 struct ClusterKnobs {
   netsim::ClusterProtocolKind protocol =
       netsim::ClusterProtocolKind::kLeach;  ///< leach or static
@@ -62,8 +53,92 @@ struct ClusterKnobs {
   std::size_t aggregation = 4;  ///< member samples per upstream packet
 };
 
-/// Apply `knobs` onto `cfg.cluster`.
-void ApplyClusterKnobs(netsim::NetSimConfig& cfg, const ClusterKnobs& knobs);
+/// The netsim deployment description: the full knob surface of a spec,
+/// with the `generic` study's defaults in the member initializers.
+struct GenericSpec {
+  // topology — either a cols x rows grid or a near-square `nodes` grid.
+  std::size_t cols = 6;
+  std::size_t rows = 6;
+  std::size_t nodes = 0;  ///< > 0: near-square grid of exactly n nodes
+  double spacing_m = 15.0;
+  double hop_m = 40.0;
+  std::size_t sinks = 1;  ///< 1..4, extra sinks at deployment corners
+
+  // node hardware (Msp430 CPU, 1024-bit samples, 1% listen duty cycle)
+  double rate_hz = 1.0;
+  double battery_mah = 0.05;
+
+  // traffic
+  bool bursty = false;  ///< MMPP quiet/storm instead of steady Poisson
+
+  // mac
+  double p_loss = 0.0;
+  double wakeup_interval_s = 0.0;
+  std::size_t max_retries = 3;
+  std::size_t max_queue = 1024;
+
+  // routing (flat mode)
+  netsim::RoutingUpdateMode routing_update =
+      netsim::RoutingUpdateMode::kIncremental;
+  bool rerouting = true;
+
+  // cluster — enabled by the presence of the `cluster` section.
+  bool clustered = false;
+  ClusterKnobs cluster;
+  netsim::HeadAssignMode assign = netsim::HeadAssignMode::kGrid;
+
+  // classes — two-class deployment when advanced_fraction > 0.
+  double advanced_fraction = 0.0;
+  double battery_factor = 1.0;
+  std::string placement = "hotspot";  ///< "hotspot" or "spread"
+
+  // faults (scalars; 0 disables each class)
+  double crash_rate_hz = 0.0;
+  double outage_s = 0.0;
+  std::size_t jam_windows = 0;
+  double jam_radius_m = 45.0;
+  double jam_duration_s = 0.0;  ///< 0 = horizon_s / 10
+  double jam_p_loss = 0.5;
+  std::size_t sink_outages = 0;
+  double sink_outage_s = 0.0;  ///< 0 = horizon_s / 10
+
+  // run
+  double horizon_s = 1000.0;
+  std::string stop_at = "horizon";  ///< "horizon" | "first_death" | "partition"
+  std::size_t replications = 4;
+  std::uint64_t seed = 2008;
+
+  // sweep / output / verify
+  std::vector<SweepAxis> sweep;  ///< <= 3 axes, <= 64 cells total
+  std::vector<std::string> columns{"generated",      "delivered",
+                                   "dropped",        "delivery_ratio",
+                                   "first_death_s",  "conserved"};
+  bool verify_oracle = false;
+  bool verify_analytic = false;
+};
+
+/// The NetSimConfig a spec describes: Msp430 CPU serving at
+/// 10 * max(rate, 0.1), 1024-bit samples, 1% listen duty cycle, corner
+/// sinks, MMPP storm traffic when bursty, the two-class placement and
+/// the fault knobs (a 0 jam/sink-outage length means horizon / 10).
+/// Sweep axes are not applied; see ExpandCells.
+netsim::NetSimConfig BuildNetSimConfig(const GenericSpec& g);
+
+/// The values of `g`'s sweep axis `key`; throws util::Error when `g`
+/// has no such axis.
+std::vector<double>& SweepValues(GenericSpec& g, const std::string& key);
+
+/// One expanded sweep cell: the spec with one value of every axis
+/// applied, labelled "key=value key=value" ("base" without axes).
+struct SpecCell {
+  GenericSpec spec;
+  std::string label;
+};
+
+/// The sweep grid of `g`, first axis outermost.
+std::vector<SpecCell> ExpandCells(const GenericSpec& g);
+
+// ------------------------------------------------------------- helpers
 
 /// Standard lifetime metric rows (first death, partition, delivery
 /// ratio, samples delivered) labelled with `label`.
@@ -96,88 +171,43 @@ void RequireEqualReports(const netsim::NetSimReport& a,
 void RequireConserved(const netsim::NetSimReport& report,
                       const std::string& where, std::size_t rep);
 
-// --------------------------------------------------------------- studies
+// ------------------------------------------------------------- studies
 
 /// netsim-lifetime: deaths, re-routing and partition under bursty
-/// (MMPP quiet/storm) traffic on a node grid with a corner sink.
-struct LifetimeStudyParams {
-  std::size_t cols = 10;
-  std::size_t rows = 5;
-  double spacing_m = 15.0;
-  double hop_m = 40.0;
-  double rate_hz = 2.0;
-  double battery_mah = 0.05;
-  double horizon_s = 4000.0;
-  bool steady = false;  ///< steady Poisson instead of bursty MMPP
-  std::size_t replications = 8;
-  std::uint64_t seed = 2008;
-};
-ResultSet RunLifetimeStudy(const ScenarioContext& ctx,
-                           const LifetimeStudyParams& p);
+/// (MMPP quiet/storm) traffic on a 10 x 5 grid, stopping at partition.
+/// Adds a timeline every horizon / 20.
+GenericSpec LifetimeDefaults();
+ResultSet RunLifetimeStudy(const ScenarioContext& ctx, const GenericSpec& g);
 
 /// netsim-throughput: replications/second single-threaded vs fanned out
-/// across the scenario executor.  The wall-clock columns make this the
-/// one study whose output is NOT deterministic.
-struct ThroughputStudyParams {
-  std::size_t cols = 10;
-  std::size_t rows = 10;
-  double spacing_m = 25.0;
-  double hop_m = 40.0;
-  double rate_hz = 2.0;
-  double horizon_s = 30.0;
-  bool clustered = false;  ///< benchmark the LEACH data path instead
-  std::size_t replications = 32;
-  std::uint64_t seed = 2008;
-};
-ResultSet RunThroughputStudy(const ScenarioContext& ctx,
-                             const ThroughputStudyParams& p);
+/// across the scenario executor.  Runs on a Pxa271 CPU with the default
+/// battery; a clustered spec gets round = horizon / 5 and aggregation 4.
+/// The wall-clock columns make this the one study whose output is NOT
+/// deterministic.
+GenericSpec ThroughputDefaults();
+ResultSet RunThroughputStudy(const ScenarioContext& ctx, const GenericSpec& g);
 
 /// netsim-clustered: LEACH-style (or static) clustered collection —
 /// head rotation, in-cluster aggregation, multi-sink uplink.
-struct ClusteredStudyParams {
-  GridStudyParams grid;
-  ClusterKnobs cluster;
-  std::size_t replications = 8;
-  std::uint64_t seed = 2008;
-};
-ResultSet RunClusteredStudy(const ScenarioContext& ctx,
-                            const ClusteredStudyParams& p);
+GenericSpec ClusteredDefaults();
+ResultSet RunClusteredStudy(const ScenarioContext& ctx, const GenericSpec& g);
 
-/// netsim-heterogeneous: a two-class (SEP-style) deployment cross-
-/// validated against the analytic heterogeneous estimator.
-struct HeterogeneousStudyParams {
-  HeterogeneousStudyParams() { grid.rows = 4; }
-  GridStudyParams grid;
-  double advanced_fraction = 0.2;  ///< fraction of advanced nodes [0, 1]
-  double battery_factor = 3.0;     ///< advanced battery multiplier (> 0)
-  std::string placement = "hotspot";  ///< "hotspot" or "spread"
-  std::size_t replications = 16;
-  std::uint64_t seed = 2008;
-};
+/// netsim-heterogeneous: a two-class (SEP-style) deployment run next to
+/// its homogeneous twin and cross-validated against the analytic
+/// heterogeneous estimator.
+GenericSpec HeterogeneousDefaults();
 ResultSet RunHeterogeneousStudy(const ScenarioContext& ctx,
-                                const HeterogeneousStudyParams& p);
+                                const GenericSpec& g);
 
-/// netsim-faults: a crash-rate x outage-length chaos sweep, flat and
-/// clustered, every replication differentially verified against its
-/// full-recompute oracle twin and the packet-conservation invariant.
-struct FaultStudyParams {
-  std::size_t nodes = 144;  ///< deployment size (>= 2), near-square grid
-  double spacing_m = 15.0;
-  double hop_m = 40.0;
-  double rate_hz = 0.05;
-  double horizon_s = 2000.0;
-  std::vector<double> crash_rates{0.0002, 0.001};  ///< sweep axis (1/s)
-  std::vector<double> outages{100.0, 400.0};       ///< sweep axis (s)
-  std::size_t jam_windows = 2;
-  double jam_radius_m = 45.0;
-  double jam_duration_s = 0.0;  ///< 0 = horizon_s / 10
-  double jam_p_loss = 0.5;
-  std::size_t sink_outages = 1;
-  double sink_outage_s = 0.0;  ///< 0 = horizon_s / 10
-  std::size_t replications = 4;
-  std::uint64_t seed = 2008;
-};
-ResultSet RunFaultStudy(const ScenarioContext& ctx,
-                        const FaultStudyParams& p);
+/// netsim-faults: a crash-rate x outage-length chaos sweep (the spec's
+/// two sweep axes), each cell run flat and clustered, every replication
+/// differentially verified against its full-recompute oracle twin and
+/// the packet-conservation invariant.
+GenericSpec FaultDefaults();
+ResultSet RunFaultStudy(const ScenarioContext& ctx, const GenericSpec& g);
+
+/// generic: the sweep grid of `g`, every cell conservation-checked, with
+/// the spec's output columns and optional oracle / analytic checks.
+ResultSet RunGenericStudy(const ScenarioContext& ctx, const GenericSpec& g);
 
 }  // namespace wsn::scenario

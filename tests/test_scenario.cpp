@@ -357,5 +357,34 @@ TEST(ScenarioRun, RejectsInvalidEffortFlags) {
   EXPECT_THROW(RunAll("table4", {"--points=-2"}, 1), util::InvalidArgument);
 }
 
+// A fault window length must be positive when given; omitting the flag
+// keeps the horizon / 10 default.
+TEST(ScenarioRun, RejectsNonPositiveFaultWindowFlags) {
+  const std::vector<std::string> small = {"--nodes=16", "--horizon=200",
+                                          "--replications=1",
+                                          "--crash-rates=0.001",
+                                          "--outages=50"};
+  for (const char* flag : {"--jam-duration=-5", "--jam-duration=0",
+                           "--sink-outage=-5", "--sink-outage=0"}) {
+    std::vector<std::string> flags = small;
+    flags.push_back(flag);
+    try {
+      RunAll("netsim-faults", flags, 1);
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const util::InvalidArgument& e) {
+      const std::string name(flag, std::string(flag).find('='));
+      EXPECT_NE(std::string(e.what()).find("flag " + name + " must be "
+                                           "positive"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::vector<std::string> explicit_default = small;
+  explicit_default.push_back("--jam-duration=20");
+  explicit_default.push_back("--sink-outage=20");
+  EXPECT_EQ(RunAll("netsim-faults", small, 1),
+            RunAll("netsim-faults", explicit_default, 1));
+}
+
 }  // namespace
 }  // namespace wsn::scenario

@@ -9,9 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "core/models.hpp"
+#include "netsim/replication.hpp"
 #include "scenario/run_main.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/spec.hpp"
+#include "scenario/studies.hpp"
 #include "util/error.hpp"
 #include "util/executor.hpp"
 
@@ -383,6 +386,41 @@ TEST(SpecInterpreter, DefaultColumnsApplyWhenOutputIsOmitted) {
                                            "dropped",        "delivery_ratio",
                                            "first_death_s",  "conserved"};
   EXPECT_EQ(spec.generic.columns, expect);
+}
+
+// Same knobs, same CPU: every study serves at 10 * max(rate, 0.1), so a
+// named study and the generic spec with identical knobs run identical
+// replications even below a rate of 0.1.
+TEST(SpecInterpreter, ClusteredAndGenericSpecsAgreeAtLowRate) {
+  const std::string knobs = R"(
+      "topology": {"cols": 6, "rows": 6, "spacing": 15, "hop": 40,
+                   "sinks": 1},
+      "node": {"rate": 0.05, "battery_mah": 0.05},
+      "cluster": {"protocol": "leach", "head_fraction": 0.1,
+                  "static_heads": 0, "round_s": 25, "aggregation": 4},
+      "run": {"horizon_s": 2000, "replications": 4, "seed": 2008}})";
+  const ScenarioSpec clustered =
+      ParseScenarioSpec(R"({"study": "clustered",)" + knobs);
+  const ScenarioSpec generic =
+      ParseScenarioSpec(R"({"study": "generic",)" + knobs);
+
+  netsim::ReplicationConfig rep;
+  rep.replications = 4;
+  rep.seed = 2008;
+  rep.keep_reports = true;
+  util::ParallelExecutor executor(2);
+  const core::MarkovCpuModel model;
+  const netsim::ReplicationSummary a = netsim::RunReplications(
+      BuildNetSimConfig(clustered.generic), model, rep, executor);
+  const netsim::ReplicationSummary b = netsim::RunReplications(
+      BuildNetSimConfig(generic.generic), model, rep, executor);
+  ASSERT_EQ(a.reports.size(), b.reports.size());
+  ASSERT_EQ(a.first_death_s.observed, rep.replications);
+  for (std::size_t r = 0; r < a.reports.size(); ++r) {
+    EXPECT_NO_THROW(RequireEqualReports(a.reports[r], b.reports[r],
+                                        "clustered vs generic", r));
+    EXPECT_EQ(a.reports[r].first_dead_node, b.reports[r].first_dead_node);
+  }
 }
 
 }  // namespace
