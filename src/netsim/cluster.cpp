@@ -1,6 +1,7 @@
 #include "netsim/cluster.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -169,19 +170,38 @@ std::size_t MostChargedAlive(const ClusterView& view) {
 }  // namespace
 
 /// Cached spatial grid over a head set, reused across the many repairs
-/// between elections.  `heads` is the (sorted) head set at build time; it
-/// may contain heads that have since died — queries exclude them through
-/// the alive mask, which preserves the compacted-index (== lowest-head-id)
-/// tie break over the survivors.
+/// between elections.  Every in-place repair Remove()s its dead head, so
+/// the grid always holds exactly the heads of the assignment stamped
+/// with `stamp`.  Compacted indices stay in ascending head order, so
+/// NearestWhereBatch's lowest-index tie break is the lowest-head-id tie
+/// break of the full re-assignment.  The remaining members are one
+/// repair's scratch buffers, kept here so the repairs between two
+/// elections reuse them.
 struct ClusteringProtocol::RepairCache {
   std::vector<std::size_t> heads;   ///< head set at build time, sorted
   std::vector<node::Position> pos;  ///< positions parallel to `heads`
   SpatialGrid grid;
+  std::uint64_t stamp = 0;  ///< ClusterAssignment::repair_stamp it serves
+
+  std::vector<std::uint32_t> live;   ///< orphans that re-pick, in order
+  std::vector<std::uint64_t> keys;   ///< (grid cell << 32) | index in live
+  std::vector<std::size_t> pick;     ///< compacted head index per live
+  std::vector<node::Position> batch_pos;  ///< one cell's query points
+  std::vector<std::size_t> batch_best;    ///< their answers
+  SpatialGrid::BatchScratch scratch;
 
   RepairCache(std::vector<std::size_t> h, std::vector<node::Position> p,
               double cell_m)
       : heads(std::move(h)), pos(std::move(p)), grid(pos, cell_m) {}
 };
+
+namespace {
+
+/// Source of RepairCache stamps: process-wide, so no two caches (of any
+/// protocol instance) ever share one.
+std::atomic<std::uint64_t> next_repair_stamp{1};
+
+}  // namespace
 
 ClusteringProtocol::ClusteringProtocol() = default;
 ClusteringProtocol::~ClusteringProtocol() = default;
@@ -219,18 +239,19 @@ bool ClusteringProtocol::RepairInPlace(ClusterAssignment& cluster,
                         static_cast<std::ptrdiff_t>(slot));
   cluster.head_of[dead_head] = ClusterAssignment::kUnclustered;
 
-  // The cache survives a chain of head deaths (dead entries are masked
-  // out per query) and self-invalidates across elections: it is usable
-  // exactly when its alive subset is the head set being repaired.  It is
-  // additionally refreshed once survivors fall below 2/3 of the cached
-  // set — long death cascades otherwise leave the grid mostly dead
-  // entries and every ring query degenerates toward a full scan.  A
-  // rebuild never changes results (the query is an argmin over the same
-  // alive subset, in the same ascending-head order); amortized it costs
-  // O(heads · log(heads)) per cascade.
-  if (!repair_cache_ ||
-      3 * cluster.heads.size() <= 2 * repair_cache_->heads.size() ||
-      AliveHeads(repair_cache_->heads, alive) != cluster.heads) {
+  // The cache serves the assignment it was built for and the chain of
+  // in-place repairs since, each of which removes its dead head from the
+  // grid.  Every repair re-stamps both, so an election, a full Repair
+  // (stamp 0) or a copy that diverged from the repaired assignment (an
+  // older stamp) forces a rebuild.  A rebuild never changes results — the
+  // query is an argmin over the same heads in the same ascending order —
+  // and costs O(heads · log(heads)) once per election.
+  if (repair_cache_ && cluster.repair_stamp == repair_cache_->stamp) {
+    repair_cache_->grid.Remove(static_cast<std::size_t>(
+        std::lower_bound(repair_cache_->heads.begin(),
+                         repair_cache_->heads.end(), dead_head) -
+        repair_cache_->heads.begin()));
+  } else {
     std::vector<node::Position> head_pos;
     head_pos.reserve(cluster.heads.size());
     double min_x = std::numeric_limits<double>::infinity();
@@ -254,22 +275,55 @@ bool ClusteringProtocol::RepairInPlace(ClusterAssignment& cluster,
     repair_cache_ = std::make_unique<RepairCache>(cluster.heads,
                                                   std::move(head_pos), cell);
   }
-  const RepairCache& cache = *repair_cache_;
+  RepairCache& cache = *repair_cache_;
+  cache.stamp = next_repair_stamp.fetch_add(1, std::memory_order_relaxed);
+  cluster.repair_stamp = cache.stamp;
 
   // Only the dead head's orphans re-pick: members of surviving heads keep
   // their argmin (repair never adds heads, and removing non-argmin
   // candidates cannot change one).  Dead or previously re-attached
-  // entries in the stale-tolerant member list are skipped.
+  // entries in the stale-tolerant member list are skipped.  The live
+  // orphans are grouped by grid cell so that each cell's ring walk is
+  // done once for all of its orphans.
+  cache.live.clear();
+  cache.keys.clear();
   for (std::uint32_t m : orphans) {
     if (!alive[m] || cluster.head_of[m] != dead_head) continue;
-    const node::Position& p = positions[m];
-    const std::size_t j = cache.grid.NearestWhere(p, [&](std::size_t c) {
-      return alive[cache.heads[c]]
-                 ? node::Distance2(p, cache.pos[c])
-                 : std::numeric_limits<double>::infinity();
-    });
-    // j != kNone: at least one surviving head remains and is alive.
-    const std::size_t new_head = cache.heads[j];
+    cache.keys.push_back(
+        (static_cast<std::uint64_t>(cache.grid.CellOf(positions[m])) << 32) |
+        cache.live.size());
+    cache.live.push_back(m);
+  }
+  std::sort(cache.keys.begin(), cache.keys.end());
+  cache.pick.resize(cache.live.size());
+  for (std::size_t lo = 0; lo < cache.keys.size();) {
+    const std::uint64_t cell = cache.keys[lo] >> 32;
+    std::size_t hi = lo;
+    cache.batch_pos.clear();
+    for (; hi < cache.keys.size() && (cache.keys[hi] >> 32) == cell; ++hi) {
+      cache.batch_pos.push_back(
+          positions[cache.live[cache.keys[hi] & 0xffffffffu]]);
+    }
+    cache.batch_best.resize(hi - lo);
+    const node::Position* const query = cache.batch_pos.data();
+    const node::Position* const head = cache.pos.data();
+    cache.grid.NearestWhereBatch(
+        static_cast<std::size_t>(cell), hi - lo,
+        [query, head](std::size_t q, std::size_t c) {
+          return node::Distance2(query[q], head[c]);
+        },
+        cache.batch_best.data(), cache.scratch);
+    for (std::size_t q = 0; q < hi - lo; ++q) {
+      cache.pick[cache.keys[lo + q] & 0xffffffffu] = cache.batch_best[q];
+    }
+    lo = hi;
+  }
+
+  // Attach in the original orphan order.  Every pick is a live head: the
+  // grid holds exactly the surviving heads and at least one survives.
+  for (std::size_t i = 0; i < cache.live.size(); ++i) {
+    const std::uint32_t m = cache.live[i];
+    const std::size_t new_head = cache.heads[cache.pick[i]];
     const std::size_t new_slot = static_cast<std::size_t>(
         std::lower_bound(cluster.heads.begin(), cluster.heads.end(),
                          new_head) -

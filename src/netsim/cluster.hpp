@@ -140,6 +140,13 @@ struct ClusterAssignment {
   /// path.
   std::vector<std::vector<std::uint32_t>> members;
 
+  /// Identifies the ClusteringProtocol repair cache built for this
+  /// assignment's heads; RepairInPlace sets it, 0 (every fresh election
+  /// or full repair) means none.  Code that edits `heads` other than
+  /// through RepairInPlace must reset it to 0.  Not part of the
+  /// assignment's value.
+  std::uint64_t repair_stamp = 0;
+
   /// True when node i is one of the elected heads.
   bool IsHead(std::size_t i) const noexcept {
     return i < head_of.size() && head_of[i] == i;
@@ -185,9 +192,13 @@ class ClusteringProtocol {
   /// non-argmin candidates cannot change an argmin — so the result is
   /// identical to `Repair` over the heads and every alive node (dead
   /// members' head_of rows stay stale, see ClusterAssignment::head_of)
-  /// at O(members + heads) cost instead of O(n).  Appends each re-attached node (the dead head's
-  /// alive former members — a surviving head always exists for them to
-  /// join) to `reattached`, in no particular order.
+  /// at O(members + heads) cost instead of O(n).  Appends each
+  /// re-attached node (the dead head's alive former members — a
+  /// surviving head always exists for them to join) to `reattached`, and
+  /// to its new head's member list, in the dead head's member-list
+  /// order.  The orphans are answered per grid cell with one batched
+  /// ring walk (SpatialGrid::NearestWhereBatch) over a cached grid that
+  /// holds exactly the surviving heads.
   ///
   /// Returns false — leaving `cluster` and `reattached` untouched — when
   /// the fast path does not apply: `dead_head` is not a current head, no
@@ -201,8 +212,8 @@ class ClusteringProtocol {
  private:
   /// Lazily built spatial grid over the current heads, reused across the
   /// (often many) repairs between elections.  Self-validating: a repair
-  /// rebuilds it whenever the cached head set no longer matches the
-  /// assignment being repaired.
+  /// rebuilds it unless the assignment being repaired carries its
+  /// repair_stamp.
   struct RepairCache;
   std::unique_ptr<RepairCache> repair_cache_;
 };

@@ -174,6 +174,7 @@ NetworkSimulator::NetworkSimulator(NetSimConfig config, double cpu_power_mw,
     cluster_next_.assign(n, RoutingTable::kNoRoute);
     cluster_dist_.assign(n, 0.0);
     energy_fraction_.assign(n, 1.0);
+    head_seat_.assign(n, 0);
     aggregate_bits_ = config_.cluster.aggregate_bits != 0
                           ? config_.cluster.aggregate_bits
                           : config_.network.node.sample_bits;
@@ -235,6 +236,7 @@ NetSimReport NetworkSimulator::Run() {
   sim_.RunUntil(config_.horizon_s);
 
   const double end = stopped_ ? stop_time_s_ : config_.horizon_s;
+  for (std::size_t h : cluster_.heads) SettleHeadSeat(h);
   NetSimReport report;
   report.nodes.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -923,9 +925,10 @@ void NetworkSimulator::ElectClusters(bool repair) {
   obs::PhaseTimer election_timer(&election_sw_);
   cluster_ = repair ? protocol_->Repair(prev, round_, view, rng_)
                     : protocol_->Elect(round_, view, rng_);
+  for (std::size_t h : prev.heads) SettleHeadSeat(h);
+  for (std::size_t h : cluster_.heads) head_seat_[h] = elections_;
   ++elections_;
   if (!repair) ++rounds_;
-  for (std::size_t h : cluster_.heads) ++stats_[h].head_elections;
   RebuildClusterRoutes(repair && prev.head_of.size() == cluster_.head_of.size()
                            ? &prev.head_of
                            : nullptr);
@@ -961,10 +964,11 @@ bool NetworkSimulator::TryInPlaceClusterRepair(std::size_t dead) {
   if (!protocol_->RepairInPlace(cluster_, dead, view, repair_reattached_)) {
     return false;
   }
-  ++elections_;
   // Every surviving head "wins" the repair election, exactly as on the
-  // full-rebuild path — head_elections is an output-visible stat.
-  for (std::size_t h : cluster_.heads) ++stats_[h].head_elections;
+  // full-rebuild path; their seats simply stay open.  Only the dead
+  // head's seat closes.
+  SettleHeadSeat(dead);
+  ++elections_;
   // Patch only the affected route rows: the dead head forgets its sink
   // uplink; re-attached members point at their new head.  Ascending node
   // order replays the full rebuild's sweep order.
@@ -989,6 +993,12 @@ bool NetworkSimulator::TryInPlaceClusterRepair(std::size_t dead) {
     if (!queues_.Empty(m)) StartNext(m);
   }
   return true;
+}
+
+void NetworkSimulator::SettleHeadSeat(std::size_t h) {
+  stats_[h].head_elections +=
+      static_cast<std::uint32_t>(elections_ - head_seat_[h]);
+  head_seat_[h] = elections_;
 }
 
 void NetworkSimulator::RebuildClusterRoutes(

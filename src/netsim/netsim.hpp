@@ -339,6 +339,12 @@ class NetworkSimulator {
   /// (all-pairs mode, no surviving head, or no member lists); the caller
   /// then falls back to ElectClusters(/*repair=*/true).
   bool TryInPlaceClusterRepair(std::size_t dead);
+  /// Credit head h with the elections it won since its seat opened, and
+  /// restart the seat at elections_.  Runs when a head leaves (an
+  /// election replaces the head set, an in-place repair drops the dead
+  /// head) and for the seated heads at report time, so a repair costs
+  /// O(1) accounting instead of one increment per surviving head.
+  void SettleHeadSeat(std::size_t h);
   /// Recomputes cluster_next_/cluster_dist_ from cluster_.  With
   /// `prev_head_of` (a repair's pre-election assignment) only rows whose
   /// head changed are recomputed — an unchanged row still points at a
@@ -451,6 +457,11 @@ class NetworkSimulator {
   std::size_t aggregate_bits_ = 0;         ///< resolved upstream bits
   std::uint64_t rounds_ = 0;
   std::uint64_t elections_ = 0;
+  /// Lazy head_elections accounting: a head wins every election from the
+  /// one that seats it until the one that drops it, so head_seat_[h] is
+  /// the value of elections_ when h's open seat began (or was last
+  /// settled).  SettleHeadSeat closes seats into the stats.
+  std::vector<std::uint64_t> head_seat_;
 };
 
 }  // namespace wsn::netsim

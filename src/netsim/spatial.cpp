@@ -53,22 +53,37 @@ SpatialGrid::SpatialGrid(const std::vector<node::Position>& positions,
 
   // Counting sort into CSR: one pass to size the cells, one to fill.
   // Filling in ascending node index keeps each cell's slice sorted.
-  std::vector<std::uint32_t> cell_of(size_);
-  cell_start_.assign(nx_ * ny_ + 1, 0);
+  cell_of_.resize(size_);
+  std::vector<std::uint32_t> count(nx_ * ny_, 0);
   for (std::size_t i = 0; i < size_; ++i) {
-    const std::size_t cx = CellCoord(positions[i].x, min_x_, nx_);
-    const std::size_t cy = CellCoord(positions[i].y, min_y_, ny_);
-    cell_of[i] = static_cast<std::uint32_t>(cy * nx_ + cx);
-    ++cell_start_[cell_of[i] + 1];
+    cell_of_[i] = static_cast<std::uint32_t>(CellOf(positions[i]));
+    ++count[cell_of_[i]];
   }
-  for (std::size_t c = 1; c < cell_start_.size(); ++c) {
-    cell_start_[c] += cell_start_[c - 1];
+  cells_.resize(nx_ * ny_);
+  std::uint32_t start = 0;
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    cells_[c].begin = start;
+    cells_[c].end = start;  // advanced by the fill below
+    start += count[c];
   }
   items_.resize(size_);
-  std::vector<std::uint32_t> fill(cell_start_.begin(), cell_start_.end() - 1);
   for (std::size_t i = 0; i < size_; ++i) {
-    items_[fill[cell_of[i]]++] = static_cast<std::uint32_t>(i);
+    items_[cells_[cell_of_[i]].end++] = static_cast<std::uint32_t>(i);
   }
+}
+
+void SpatialGrid::Remove(std::size_t j) {
+  Require(j < cell_of_.size() && cell_of_[j] != kRemoved,
+          "spatial grid: removed node is not indexed");
+  CellRange& range = cells_[cell_of_[j]];
+  std::uint32_t* const first = items_.data() + range.begin;
+  std::uint32_t* const last = items_.data() + range.end;
+  std::uint32_t* const at =
+      std::lower_bound(first, last, static_cast<std::uint32_t>(j));
+  std::copy(at + 1, last, at);
+  --range.end;
+  cell_of_[j] = kRemoved;
+  --size_;
 }
 
 }  // namespace wsn::netsim

@@ -9,12 +9,14 @@
 /// cells around it, shrinking a candidate scan from N to the local
 /// density (O(1) for bounded-density deployments such as grids).
 ///
-/// The index is immutable after construction — node *positions* never
-/// change during a replication, only liveness does, and liveness is the
-/// caller's problem (the routing table filters candidates through its
-/// alive mask).  Query positions outside the bounding box (e.g. a sink
-/// placed off the deployment) clamp to the nearest boundary cell, so
-/// they still see every in-range node.
+/// Node *positions* never change during a replication, only liveness
+/// does.  Liveness is the caller's problem (the routing table filters
+/// candidates through its alive mask), except that an index over a
+/// shrinking set (the cluster heads between elections) may Remove()
+/// entries so its queries never visit them again.  Query positions
+/// outside the bounding box (e.g. a sink placed off the deployment)
+/// clamp to the nearest boundary cell, so they still see every in-range
+/// node.
 ///
 /// Cell-size tradeoff: cells of exactly the hop range give the smallest
 /// 3x3 superset that is still complete.  Larger cells scan more
@@ -34,7 +36,8 @@
 
 namespace wsn::netsim {
 
-/// Immutable bucket index of node positions on a uniform square grid.
+/// Bucket index of node positions on a uniform square grid; entries can
+/// be removed but never added.
 class SpatialGrid {
  public:
   /// NearestWhere() sentinel: no candidate matched (empty grid or every
@@ -45,7 +48,7 @@ class SpatialGrid {
   /// when needed to keep the cell table O(positions.size()).
   SpatialGrid(const std::vector<node::Position>& positions, double cell_m);
 
-  /// Number of indexed nodes.
+  /// Number of indexed nodes (construction size minus removals).
   std::size_t Size() const noexcept { return size_; }
 
   /// Cells along x / y; their product is the cell-table size.
@@ -70,9 +73,8 @@ class SpatialGrid {
     const std::size_t y1 = cy + 1 < ny_ ? cy + 1 : ny_ - 1;
     for (std::size_t y = y0; y <= y1; ++y) {
       for (std::size_t x = x0; x <= x1; ++x) {
-        const std::size_t cell = y * nx_ + x;
-        for (std::uint32_t k = cell_start_[cell]; k < cell_start_[cell + 1];
-             ++k) {
+        const CellRange range = cells_[y * nx_ + x];
+        for (std::uint32_t k = range.begin; k < range.end; ++k) {
           fn(static_cast<std::size_t>(items_[k]));
         }
       }
@@ -135,7 +137,86 @@ class SpatialGrid {
     return best;
   }
 
+  /// Clamped cell of `p`, row-major: the key NearestWhereBatch groups
+  /// its queries by.
+  std::size_t CellOf(const node::Position& p) const {
+    return CellCoord(p.y, min_y_, ny_) * nx_ + CellCoord(p.x, min_x_, nx_);
+  }
+
+  /// Reusable buffers of NearestWhereBatch, owned by the caller so a
+  /// batch allocates nothing once they have grown.
+  struct BatchScratch {
+    std::vector<double> best2;
+    std::vector<std::uint32_t> open;
+  };
+
+  /// NearestWhere for `count` queries that all lie in cell `cell` (their
+  /// CellOf), walking the rings around that cell once instead of once
+  /// per query.  `dist2(q, j)` is query q's cost for candidate j, with
+  /// +infinity excluding j as in NearestWhere.  Each ring's candidates
+  /// are scored against every query still open; query q is frozen at
+  /// the ring where NearestWhere would stop for it (its own
+  /// ((r-1)*CellSize())^2 > best2 test) and is not scored after that.
+  /// Ties go to the lowest j.  So on return `best[q]` is exactly
+  /// NearestWhere(point of q, j -> dist2(q, j)), kNone when every
+  /// candidate was excluded.
+  template <typename Dist2Fn>
+  void NearestWhereBatch(std::size_t cell, std::size_t count,
+                         Dist2Fn&& dist2, std::size_t* best,
+                         BatchScratch& scratch) const {
+    const std::size_t cx = cell % nx_;
+    const std::size_t cy = cell / nx_;
+    const std::size_t last_ring = MaxRing(cx, cy);
+    scratch.best2.assign(count, std::numeric_limits<double>::infinity());
+    scratch.open.resize(count);
+    double* const best2 = scratch.best2.data();
+    std::uint32_t* const open = scratch.open.data();
+    for (std::size_t q = 0; q < count; ++q) {
+      best[q] = kNone;
+      open[q] = static_cast<std::uint32_t>(q);
+    }
+    std::size_t open_count = count;
+    for (std::size_t r = 0; r <= last_ring && open_count > 0; ++r) {
+      if (r >= 2) {
+        const double reach = static_cast<double>(r - 1) * cell_m_;
+        std::size_t kept = 0;
+        for (std::size_t k = 0; k < open_count; ++k) {
+          const std::uint32_t q = open[k];
+          if (best[q] != kNone && reach * reach > best2[q]) continue;
+          open[kept++] = q;
+        }
+        open_count = kept;
+      }
+      ForEachInRing(cx, cy, r, [&](std::size_t j) {
+        for (std::size_t k = 0; k < open_count; ++k) {
+          const std::uint32_t q = open[k];
+          const double d2 = dist2(static_cast<std::size_t>(q), j);
+          if (d2 == std::numeric_limits<double>::infinity()) continue;
+          if (d2 < best2[q] || (d2 == best2[q] && j < best[q])) {
+            best2[q] = d2;
+            best[q] = j;
+          }
+        }
+      });
+    }
+  }
+
+  /// Drop node j from the index: no later query visits it.  Each cell
+  /// keeps its remaining entries in ascending order, so visit orders and
+  /// tie breaks stay those of an index built without j.  O(occupancy of
+  /// j's cell).  Throws util::InvalidArgument when j is not indexed
+  /// (out of range or already removed).
+  void Remove(std::size_t j);
+
  private:
+  /// Slice items_[begin, end) holding one cell's nodes.  `begin` is fixed
+  /// at construction; Remove() shrinks `end`.
+  struct CellRange {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+
+
   /// Invoke `fn(j)` for every node j in a cell at Chebyshev distance
   /// exactly `r` from cell (cx, cy), skipping cells outside the grid.
   /// Row-major over the ring; ascending node index within each cell.
@@ -143,9 +224,8 @@ class SpatialGrid {
   void ForEachInRing(std::size_t cx, std::size_t cy, std::size_t r,
                      Fn&& fn) const {
     const auto scan_cell = [&](std::size_t x, std::size_t y) {
-      const std::size_t cell = y * nx_ + x;
-      for (std::uint32_t k = cell_start_[cell]; k < cell_start_[cell + 1];
-           ++k) {
+      const CellRange range = cells_[y * nx_ + x];
+      for (std::uint32_t k = range.begin; k < range.end; ++k) {
         fn(static_cast<std::size_t>(items_[k]));
       }
     };
@@ -189,10 +269,13 @@ class SpatialGrid {
   double min_y_ = 0.0;
   std::size_t nx_ = 1;
   std::size_t ny_ = 1;
-  /// CSR layout: nodes of cell c are items_[cell_start_[c] ..
-  /// cell_start_[c+1]), grouped by cell, ascending node index per cell.
-  std::vector<std::uint32_t> cell_start_;
+  /// CSR layout: nodes of cell c are items_[cells_[c].begin ..
+  /// cells_[c].end), grouped by cell, ascending node index per cell.
+  std::vector<CellRange> cells_;
   std::vector<std::uint32_t> items_;
+  /// Cell of each node at construction; kRemoved once Remove()d.
+  std::vector<std::uint32_t> cell_of_;
+  static constexpr std::uint32_t kRemoved = static_cast<std::uint32_t>(-1);
 };
 
 }  // namespace wsn::netsim

@@ -61,6 +61,15 @@ std::string CompactNumber(double v) {
   return buf;
 }
 
+double PositiveFlag(const util::CliArgs& args, const char* flag,
+                    double fallback) {
+  const double v = args.GetDouble(flag, fallback);
+  util::Require(v > 0.0, std::string("flag --") + flag +
+                             " must be positive (got " + CompactNumber(v) +
+                             ")");
+  return v;
+}
+
 std::string ObservedCell(std::size_t observed, std::size_t total) {
   return std::to_string(observed) + "/" + std::to_string(total) + " reps";
 }

@@ -44,9 +44,16 @@ struct GenericSpec;
 /// over `g`'s defaults, shared by every netsim study wrapper.
 void ApplyEffortFlags(const util::CliArgs& args, GenericSpec& g);
 
-/// Compact number rendering for labels and error messages: integers
-/// without a decimal point, everything else in %g form.
+/// Compact number rendering for labels, error messages and the flag
+/// help's defaults: integers without a decimal point, everything else
+/// in %g form.
 std::string CompactNumber(double v);
+
+/// Value of the double flag `--flag`, or `fallback` when it is absent;
+/// a present value must be > 0, else util::InvalidArgument
+/// "flag --FLAG must be positive (got V)".
+double PositiveFlag(const util::CliArgs& args, const char* flag,
+                    double fallback);
 
 /// "k/n reps" observation cell for replication summary tables.
 std::string ObservedCell(std::size_t observed, std::size_t total);

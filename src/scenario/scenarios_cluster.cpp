@@ -8,7 +8,8 @@
 // heterogeneous scenarios then call their study's renderer in
 // scenario/studies.{hpp,cpp}, the one a `wsnctl run --file` spec of that
 // study also reaches; the ablation builds its three configs with the
-// same BuildNetSimConfig.
+// same BuildNetSimConfig.  The flags' help shows the defaults, read from
+// the same *Defaults().
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,9 +30,9 @@ namespace {
 void ApplyGridFlags(const util::CliArgs& args, GenericSpec& g) {
   g.cols = args.GetCount("cols", g.cols, 1);
   g.rows = args.GetCount("rows", g.rows, 1);
-  g.spacing_m = args.GetDouble("spacing", g.spacing_m);
-  g.hop_m = args.GetDouble("hop", g.hop_m);
-  g.rate_hz = args.GetDouble("rate", g.rate_hz);
+  g.spacing_m = PositiveFlag(args, "spacing", g.spacing_m);
+  g.hop_m = PositiveFlag(args, "hop", g.hop_m);
+  g.rate_hz = PositiveFlag(args, "rate", g.rate_hz);
   g.battery_mah = args.GetDouble("battery-mah", g.battery_mah);
   g.horizon_s = args.GetDouble("horizon", g.horizon_s);
   g.sinks = args.GetCount("sinks", g.sinks, 1);
@@ -44,36 +45,52 @@ void ApplyClusterFlags(const util::CliArgs& args, GenericSpec& g) {
       "protocol", netsim::ClusterProtocolKindName(g.cluster.protocol)));
   g.cluster.head_fraction =
       args.GetDouble("head-fraction", g.cluster.head_fraction);
+  util::Require(g.cluster.head_fraction > 0.0 &&
+                    g.cluster.head_fraction <= 1.0,
+                "flag --head-fraction must be in (0, 1] (got " +
+                    CompactNumber(g.cluster.head_fraction) + ")");
   g.cluster.static_heads =
       args.GetCount("static-heads", g.cluster.static_heads);
-  g.cluster.round_s = args.GetDouble("round", g.cluster.round_s);
+  g.cluster.round_s = PositiveFlag(args, "round", g.cluster.round_s);
   g.cluster.aggregation =
       args.GetCount("aggregation", g.cluster.aggregation, 1);
 }
 
-std::vector<util::FlagSpec> GridFlags(const std::string& cols,
-                                      const std::string& rows) {
+/// The flags ApplyGridFlags (except --sinks) and ApplyEffortFlags read,
+/// their help showing `d`'s values.
+std::vector<util::FlagSpec> GridFlags(const GenericSpec& d) {
   return {
-      {"cols", "C", cols, "grid columns"},
-      {"rows", "R", rows, "grid rows"},
-      {"spacing", "M", "15", "grid spacing (m)"},
-      {"rate", "L", "2", "per-node report rate (1/s)"},
-      {"battery-mah", "MAH", "0.05", "per-node battery capacity"},
-      {"horizon", "S", "2000", "simulation horizon (s)"},
-      {"replications", "R", "8", "independent replications (>= 1)"},
-      {"seed", "N", "2008", "master RNG seed (non-negative)"},
+      {"cols", "C", std::to_string(d.cols), "grid columns"},
+      {"rows", "R", std::to_string(d.rows), "grid rows"},
+      {"spacing", "M", CompactNumber(d.spacing_m), "grid spacing (m, > 0)"},
+      {"rate", "L", CompactNumber(d.rate_hz),
+       "per-node report rate (1/s, > 0)"},
+      {"battery-mah", "MAH", CompactNumber(d.battery_mah),
+       "per-node battery capacity"},
+      {"horizon", "S", CompactNumber(d.horizon_s), "simulation horizon (s)"},
+      {"replications", "R", std::to_string(d.replications),
+       "independent replications (>= 1)"},
+      {"seed", "N", std::to_string(d.seed), "master RNG seed (non-negative)"},
+      {"hop", "M", CompactNumber(d.hop_m), "max radio hop range (m, > 0)"},
   };
 }
 
-std::vector<util::FlagSpec> ClusterFlags() {
+/// The ApplyClusterFlags knobs plus --sinks, their help showing `d`'s
+/// values.
+std::vector<util::FlagSpec> ClusterFlags(const GenericSpec& d) {
   return {
-      {"protocol", "P", "leach", "clustering protocol: leach or static"},
-      {"head-fraction", "F", "0.1", "desired cluster-head fraction (0, 1]"},
-      {"static-heads", "K", "0",
+      {"protocol", "P", netsim::ClusterProtocolKindName(d.cluster.protocol),
+       "clustering protocol: leach or static"},
+      {"head-fraction", "F", CompactNumber(d.cluster.head_fraction),
+       "desired cluster-head fraction (0, 1]"},
+      {"static-heads", "K", std::to_string(d.cluster.static_heads),
        "static protocol head count (0 = head-fraction * nodes)"},
-      {"round", "S", "25", "cluster round length (s)"},
-      {"aggregation", "K", "4", "member samples per upstream packet (>= 1)"},
-      {"sinks", "N", "1", "sink count, 1-4 (placed at deployment corners)"},
+      {"round", "S", CompactNumber(d.cluster.round_s),
+       "cluster round length (s, > 0)"},
+      {"aggregation", "K", std::to_string(d.cluster.aggregation),
+       "member samples per upstream packet (>= 1)"},
+      {"sinks", "N", std::to_string(d.sinks),
+       "sink count, 1-4 (placed at deployment corners)"},
   };
 }
 
@@ -192,9 +209,9 @@ const ScenarioRegistrar reg_netsim_clustered(MakeScenario(
     "clustered collection: rotating cluster heads, aggregation, multi-sink",
     "extension (cluster-based workload)",
     [] {
-      std::vector<util::FlagSpec> flags = GridFlags("6", "6");
-      flags.push_back({"hop", "M", "40", "max radio hop range (m)"});
-      for (util::FlagSpec& f : ClusterFlags()) flags.push_back(std::move(f));
+      const GenericSpec d = ClusteredDefaults();
+      std::vector<util::FlagSpec> flags = GridFlags(d);
+      for (util::FlagSpec& f : ClusterFlags(d)) flags.push_back(std::move(f));
       return flags;
     }(),
     RunNetsimClustered));
@@ -204,13 +221,14 @@ const ScenarioRegistrar reg_netsim_heterogeneous(MakeScenario(
     "mixed node classes (SEP-style) with analytic cross-validation",
     "extension (heterogeneous workload)",
     [] {
-      std::vector<util::FlagSpec> flags = GridFlags("6", "4");
-      flags.push_back({"hop", "M", "40", "max radio hop range (m)"});
-      flags.push_back({"advanced-fraction", "F", "0.2",
+      const GenericSpec d = HeterogeneousDefaults();
+      std::vector<util::FlagSpec> flags = GridFlags(d);
+      flags.push_back({"advanced-fraction", "F",
+                       CompactNumber(d.advanced_fraction),
                        "fraction of advanced nodes [0, 1]"});
-      flags.push_back({"battery-factor", "X", "3",
+      flags.push_back({"battery-factor", "X", CompactNumber(d.battery_factor),
                        "advanced battery capacity multiplier"});
-      flags.push_back({"placement", "P", "hotspot",
+      flags.push_back({"placement", "P", d.placement,
                        "advanced-node placement: hotspot (highest analytic "
                        "relay load) or spread (index-strided)"});
       return flags;
@@ -222,9 +240,9 @@ const ScenarioRegistrar reg_cluster_ablation(MakeScenario(
     "flat vs static clusters vs LEACH rotation on one deployment",
     "extension (protocol-policy ablation)",
     [] {
-      std::vector<util::FlagSpec> flags = GridFlags("6", "6");
-      flags.push_back({"hop", "M", "40", "max radio hop range (m)"});
-      for (util::FlagSpec& f : ClusterFlags()) {
+      const GenericSpec d = ClusteredDefaults();
+      std::vector<util::FlagSpec> flags = GridFlags(d);
+      for (util::FlagSpec& f : ClusterFlags(d)) {
         // The ablation runs every protocol; a --protocol choice would be
         // silently ignored, so it is not part of this vocabulary.
         if (f.name != "protocol") flags.push_back(std::move(f));

@@ -5,7 +5,8 @@
 // from FaultDefaults(), maps --crash-rates / --outages onto the spec's
 // two sweep axes and the other flags onto its knobs, and calls
 // RunFaultStudy in scenario/studies.{hpp,cpp} — the renderer a
-// `wsnctl run --file` faults spec also reaches.
+// `wsnctl run --file` faults spec also reaches.  The flags' help shows
+// the FaultDefaults() values.
 #include <string>
 #include <vector>
 
@@ -51,21 +52,56 @@ std::vector<double> ParsePositiveCsv(const std::string& csv,
 /// An optional window-length flag: absent keeps 0 (the study's
 /// horizon / 10 default); present must be > 0.
 double OptionalLength(const util::CliArgs& args, const char* flag) {
-  if (!args.Has(flag)) return 0.0;
-  const double v = args.GetDouble(flag, 0.0);
-  util::Require(v > 0.0, std::string("flag --") + flag +
-                             " must be positive (got " + CompactNumber(v) +
-                             ")");
-  return v;
+  return args.Has(flag) ? PositiveFlag(args, flag, 0.0) : 0.0;
+}
+
+/// `values` as the comma-separated list --crash-rates/--outages take.
+std::string Csv(const std::vector<double>& values) {
+  std::string out;
+  for (double v : values) {
+    if (!out.empty()) out += ",";
+    out += CompactNumber(v);
+  }
+  return out;
+}
+
+/// The flag table, its help showing `d`'s values.
+std::vector<util::FlagSpec> FaultFlags(GenericSpec d) {
+  return {
+      {"nodes", "N", std::to_string(d.nodes), "deployment size (>= 2)"},
+      {"spacing", "M", CompactNumber(d.spacing_m), "grid spacing (m, > 0)"},
+      {"hop", "M", CompactNumber(d.hop_m), "max radio hop range (m, > 0)"},
+      {"rate", "L", CompactNumber(d.rate_hz),
+       "per-node report rate (1/s, > 0)"},
+      {"horizon", "S", CompactNumber(d.horizon_s), "simulation horizon (s)"},
+      {"crash-rates", "CSV", Csv(SweepValues(d, "faults.crash_rate")),
+       "per-node transient crash rates to sweep (1/s)"},
+      {"outages", "CSV", Csv(SweepValues(d, "faults.outage_s")),
+       "mean outage durations to sweep (s)"},
+      {"jam-windows", "N", std::to_string(d.jam_windows),
+       "regional jam windows per run (0 = none)"},
+      {"jam-radius", "M", CompactNumber(d.jam_radius_m), "jam disc radius (m)"},
+      {"jam-duration", "S", "",
+       "jam window length (s, > 0); default horizon/10"},
+      {"jam-ploss", "P", CompactNumber(d.jam_p_loss),
+       "extra per-attempt loss inside a jam"},
+      {"sink-outages", "N", std::to_string(d.sink_outages),
+       "sink outage windows per run (0 = none)"},
+      {"sink-outage", "S", "",
+       "sink outage window length (s, > 0); default horizon/10"},
+      {"replications", "R", std::to_string(d.replications),
+       "replications per cell (>= 1)"},
+      {"seed", "N", std::to_string(d.seed), "master RNG seed (non-negative)"},
+  };
 }
 
 ResultSet RunNetsimFaults(const ScenarioContext& ctx) {
   const util::CliArgs& args = ctx.Args();
   GenericSpec g = FaultDefaults();
   g.nodes = args.GetCount("nodes", g.nodes, 2);
-  g.spacing_m = args.GetDouble("spacing", g.spacing_m);
-  g.hop_m = args.GetDouble("hop", g.hop_m);
-  g.rate_hz = args.GetDouble("rate", g.rate_hz);
+  g.spacing_m = PositiveFlag(args, "spacing", g.spacing_m);
+  g.hop_m = PositiveFlag(args, "hop", g.hop_m);
+  g.rate_hz = PositiveFlag(args, "rate", g.rate_hz);
   g.horizon_s = args.GetDouble("horizon", g.horizon_s);
   if (args.Has("crash-rates")) {
     SweepValues(g, "faults.crash_rate") =
@@ -91,26 +127,7 @@ const ScenarioRegistrar reg_netsim_faults(MakeScenario(
     "jam windows and sink outages, flat and clustered, differentially "
     "verified against full-recompute oracles",
     "extension (robustness / chaos-differential testing)",
-    {
-        {"nodes", "N", "144", "deployment size (>= 2)"},
-        {"spacing", "M", "15", "grid spacing (m)"},
-        {"hop", "M", "40", "max radio hop range (m)"},
-        {"rate", "L", "0.05", "per-node report rate (1/s)"},
-        {"horizon", "S", "2000", "simulation horizon (s)"},
-        {"crash-rates", "CSV", "0.0002,0.001",
-         "per-node transient crash rates to sweep (1/s)"},
-        {"outages", "CSV", "100,400", "mean outage durations to sweep (s)"},
-        {"jam-windows", "N", "2", "regional jam windows per run (0 = none)"},
-        {"jam-radius", "M", "45", "jam disc radius (m)"},
-        {"jam-duration", "S", "",
-         "jam window length (s, > 0); default horizon/10"},
-        {"jam-ploss", "P", "0.5", "extra per-attempt loss inside a jam"},
-        {"sink-outages", "N", "1", "sink outage windows per run (0 = none)"},
-        {"sink-outage", "S", "",
-         "sink outage window length (s, > 0); default horizon/10"},
-        {"replications", "R", "4", "replications per cell (>= 1)"},
-        {"seed", "N", "2008", "master RNG seed (non-negative)"},
-    },
+    FaultFlags(FaultDefaults()),
     RunNetsimFaults));
 
 }  // namespace

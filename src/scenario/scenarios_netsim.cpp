@@ -4,6 +4,7 @@
 // its study's GenericSpec defaults, overrides them with its flags and
 // calls the study's renderer in scenario/studies.{hpp,cpp} — the same
 // defaults and renderer a `wsnctl run --file` spec of that study uses.
+// The flags' help shows those defaults, read from the same *Defaults().
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,9 +21,9 @@ namespace {
 void ApplyTopologyFlags(const util::CliArgs& args, GenericSpec& g) {
   g.cols = args.GetCount("cols", g.cols, 1);
   g.rows = args.GetCount("rows", g.rows, 1);
-  g.spacing_m = args.GetDouble("spacing", g.spacing_m);
-  g.hop_m = args.GetDouble("hop", g.hop_m);
-  g.rate_hz = args.GetDouble("rate", g.rate_hz);
+  g.spacing_m = PositiveFlag(args, "spacing", g.spacing_m);
+  g.hop_m = PositiveFlag(args, "hop", g.hop_m);
+  g.rate_hz = PositiveFlag(args, "rate", g.rate_hz);
 }
 
 ResultSet RunNetsimLifetime(const ScenarioContext& ctx) {
@@ -46,15 +47,15 @@ ResultSet RunNetsimThroughput(const ScenarioContext& ctx) {
   return RunThroughputStudy(ctx, g);
 }
 
-std::vector<util::FlagSpec> TopologyFlags(const std::string& cols,
-                                          const std::string& rows,
-                                          const std::string& spacing) {
+/// The flags ApplyTopologyFlags reads, their help showing `d`'s values.
+std::vector<util::FlagSpec> TopologyFlags(const GenericSpec& d) {
   return {
-      {"cols", "C", cols, "grid columns"},
-      {"rows", "R", rows, "grid rows"},
-      {"spacing", "M", spacing, "grid spacing (m)"},
-      {"hop", "M", "40", "max radio hop range (m)"},
-      {"rate", "L", "2", "per-node report rate (1/s)"},
+      {"cols", "C", std::to_string(d.cols), "grid columns"},
+      {"rows", "R", std::to_string(d.rows), "grid rows"},
+      {"spacing", "M", CompactNumber(d.spacing_m), "grid spacing (m, > 0)"},
+      {"hop", "M", CompactNumber(d.hop_m), "max radio hop range (m, > 0)"},
+      {"rate", "L", CompactNumber(d.rate_hz),
+       "per-node report rate (1/s, > 0)"},
   };
 }
 
@@ -63,12 +64,16 @@ const ScenarioRegistrar reg_netsim_lifetime(MakeScenario(
     "packet-level lifetime study: deaths, re-routing and partition",
     "extension (dynamic counterpart of wsn-lifetime)",
     [] {
-      std::vector<util::FlagSpec> flags = TopologyFlags("10", "5", "15");
-      flags.push_back({"battery-mah", "MAH", "0.05", "per-node battery"});
-      flags.push_back({"horizon", "S", "4000", "simulation horizon (s)"});
-      flags.push_back({"replications", "R", "8",
+      const GenericSpec d = LifetimeDefaults();
+      std::vector<util::FlagSpec> flags = TopologyFlags(d);
+      flags.push_back({"battery-mah", "MAH", CompactNumber(d.battery_mah),
+                       "per-node battery"});
+      flags.push_back({"horizon", "S", CompactNumber(d.horizon_s),
+                       "simulation horizon (s)"});
+      flags.push_back({"replications", "R", std::to_string(d.replications),
                        "independent replications (>= 1)"});
-      flags.push_back({"seed", "N", "2008", "master RNG seed (non-negative)"});
+      flags.push_back({"seed", "N", std::to_string(d.seed),
+                       "master RNG seed (non-negative)"});
       flags.push_back({"steady", "", "",
                        "steady Poisson traffic instead of bursty MMPP"});
       return flags;
@@ -80,11 +85,14 @@ const ScenarioRegistrar reg_netsim_throughput(MakeScenario(
     "replications/second: serial vs the scenario executor",
     "extension (engineering benchmark)",
     [] {
-      std::vector<util::FlagSpec> flags = TopologyFlags("10", "10", "25");
-      flags.push_back({"horizon", "S", "30", "simulation horizon (s)"});
-      flags.push_back({"replications", "R", "32",
+      const GenericSpec d = ThroughputDefaults();
+      std::vector<util::FlagSpec> flags = TopologyFlags(d);
+      flags.push_back({"horizon", "S", CompactNumber(d.horizon_s),
+                       "simulation horizon (s)"});
+      flags.push_back({"replications", "R", std::to_string(d.replications),
                        "independent replications (>= 1)"});
-      flags.push_back({"seed", "N", "2008", "master RNG seed (non-negative)"});
+      flags.push_back({"seed", "N", std::to_string(d.seed),
+                       "master RNG seed (non-negative)"});
       flags.push_back({"clustered", "", "",
                        "benchmark the clustered (LEACH) data path"});
       return flags;

@@ -5,6 +5,7 @@
 // first-node-death in the documented configuration).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -415,6 +416,123 @@ TEST(HeadAssignment, IncrementalRepairMatchesFullReassignAcrossChainedDeaths) {
   }
 }
 
+TEST(HeadAssignment, InPlaceRepairMatchesFullReassignOverRegionalCascade) {
+  // The death cascade kills heads one region at a time, so orphans near
+  // the dead region walk several rings of empty cells before they meet
+  // a live head.  Kill every head inside a disc, nearest the centre
+  // first, then move to the next disc; random members die in between,
+  // leaving stale member-list entries.  After every repair head_of must
+  // equal the full re-assignment oracle, and each surviving head's
+  // member list must be its old list followed by the orphans it gained,
+  // in the dead head's member-list order.
+  util::Rng rng(15042008);
+  for (int seq = 0; seq < 6; ++seq) {
+    const std::size_t side = 24 + (rng() % 16);
+    std::vector<node::Position> positions;
+    for (std::size_t y = 0; y < side; ++y) {
+      for (std::size_t x = 0; x < side; ++x) {
+        double px = static_cast<double>(x) * 10.0;
+        double py = static_cast<double>(y) * 10.0;
+        if (seq % 2 == 1) {  // jitter half the fields; lattices tie
+          px += util::UniformDouble(rng) * 8.0;
+          py += util::UniformDouble(rng) * 8.0;
+        }
+        positions.push_back({px, py});
+      }
+    }
+    const std::size_t n = positions.size();
+    const double extent = static_cast<double>(side - 1) * 10.0;
+    const std::vector<node::Position> sinks = {{0.0, 0.0}};
+    std::vector<bool> alive(n, true);
+    std::vector<double> energy(n, 1.0);
+    ClusterView grid_view = MakeView(positions, sinks, alive, energy);
+    ClusterView oracle_view = grid_view;
+    oracle_view.assign_mode = HeadAssignMode::kAllPairs;
+
+    LeachClustering grid_proto(0.08);
+    LeachClustering oracle_proto(0.08);
+    util::Rng grid_rng(40 + seq);
+    util::Rng oracle_rng(40 + seq);
+    ClusterAssignment cur = grid_proto.Elect(0, grid_view, grid_rng);
+    ClusterAssignment oracle = oracle_proto.Elect(0, oracle_view, oracle_rng);
+    ExpectAssignmentsEqual(cur, oracle, "initial election");
+
+    std::size_t multi_ring_repairs = 0;
+    for (int region = 0; region < 4 && cur.heads.size() > 1; ++region) {
+      const node::Position centre{util::UniformDouble(rng) * extent,
+                                  util::UniformDouble(rng) * extent};
+      const double radius = extent * (0.15 + 0.2 * util::UniformDouble(rng));
+      std::vector<std::size_t> victims;
+      for (std::size_t h : cur.heads) {
+        if (node::Distance(positions[h], centre) <= radius) {
+          victims.push_back(h);
+        }
+      }
+      std::stable_sort(victims.begin(), victims.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return node::Distance2(positions[a], centre) <
+                                node::Distance2(positions[b], centre);
+                       });
+      for (std::size_t victim : victims) {
+        if (cur.heads.size() <= 1) break;
+        // A few member deaths first: stale entries in the lists.
+        for (int k = 0; k < 3; ++k) {
+          const std::size_t m = rng() % n;
+          if (alive[m] && !cur.IsHead(m)) alive[m] = false;
+        }
+        alive[victim] = false;
+
+        const std::vector<std::vector<std::uint32_t>> old_members =
+            cur.members;
+        const std::vector<std::size_t> old_heads = cur.heads;
+        const std::vector<std::size_t> old_head_of = cur.head_of;
+        const std::size_t dead_slot = static_cast<std::size_t>(
+            std::lower_bound(old_heads.begin(), old_heads.end(), victim) -
+            old_heads.begin());
+
+        std::vector<std::uint32_t> reattached;
+        ASSERT_TRUE(
+            grid_proto.RepairInPlace(cur, victim, grid_view, reattached));
+        oracle = oracle_proto.Repair(oracle, 0, oracle_view, oracle_rng);
+        ExpectAssignmentsEquivalent(cur, oracle, alive, "regional cascade");
+
+        // The orphans re-attach in the dead head's member-list order.
+        std::vector<std::uint32_t> orphans;
+        for (std::uint32_t m : old_members[dead_slot]) {
+          if (alive[m] && old_head_of[m] == victim) orphans.push_back(m);
+        }
+        EXPECT_EQ(reattached, orphans);
+        ASSERT_EQ(cur.members.size(), cur.heads.size());
+        for (std::size_t slot = 0; slot < cur.heads.size(); ++slot) {
+          const std::size_t h = cur.heads[slot];
+          const std::size_t old_slot = static_cast<std::size_t>(
+              std::lower_bound(old_heads.begin(), old_heads.end(), h) -
+              old_heads.begin());
+          std::vector<std::uint32_t> want = old_members[old_slot];
+          for (std::uint32_t m : orphans) {
+            if (oracle.head_of[m] == h) want.push_back(m);
+          }
+          EXPECT_EQ(cur.members[slot], want) << "head " << h;
+        }
+        // Count repairs whose orphans had to look past the ring next to
+        // them: some nearest surviving head is over two head spacings
+        // away.
+        const double spacing = extent / std::ceil(std::sqrt(
+                                            static_cast<double>(old_heads.size())));
+        for (std::uint32_t m : orphans) {
+          if (node::Distance(positions[m], positions[oracle.head_of[m]]) >
+              2.0 * spacing) {
+            ++multi_ring_repairs;
+            break;
+          }
+        }
+      }
+    }
+    // The shape under test: repairs whose orphans cross dead rings.
+    EXPECT_GT(multi_ring_repairs, 0u) << "sequence " << seq;
+  }
+}
+
 TEST(HeadAssignment, HeadsOnCellBoundariesAndCoincidentHeads) {
   // 25 heads on an exact lattice: the compacted-extent cell size puts
   // every head precisely on a cell boundary.  Members sit on boundaries
@@ -517,6 +635,60 @@ TEST(ClusteredSim, HeadDeathTriggersReelectionAndDeliveryContinues) {
       << "the repair election must seat a different node as head";
   EXPECT_GT(delivered_by_late_sources, 0u)
       << "nodes surviving the first head must keep delivering";
+}
+
+TEST(ClusteredSim, HeadElectionsIdenticalAcrossInPlaceAndFullRepairs) {
+  // head_elections is credited lazily: an in-place repair (grid mode)
+  // settles only the dead head's seat and leaves the survivors' seats
+  // open until the next election or the report.  All-pairs mode repairs
+  // through the full Repair, which settles and re-seats every head at
+  // every election.  Both must report the same per-node counts over
+  // rounds that each see several repairs.
+  NetSimConfig cfg = LeachConfig(8, 8, 0.01, /*round_s=*/80.0);
+  cfg.network.node.cpu.arrival_rate = 10.0;
+  cfg.network.node.cpu.service_rate = 100.0;
+  cfg.horizon_s = 400.0;
+  NetSimConfig full_cfg = cfg;
+  full_cfg.cluster.assign = HeadAssignMode::kAllPairs;
+
+  const core::MarkovCpuModel model;
+  const double cpu_mw = CpuAveragePowerMw(cfg, model);
+  const NetSimReport in_place =
+      NetworkSimulator(cfg, cpu_mw, util::Rng(23)).Run();
+  const NetSimReport full =
+      NetworkSimulator(full_cfg, cpu_mw, util::Rng(23)).Run();
+
+  ASSERT_GT(in_place.elections, in_place.rounds + 5)
+      << "the run must repair heads mid-round";
+  EXPECT_EQ(in_place.elections, full.elections);
+  EXPECT_EQ(in_place.events, full.events);
+  ASSERT_EQ(in_place.nodes.size(), full.nodes.size());
+  std::uint32_t most = 0;
+  for (std::size_t i = 0; i < in_place.nodes.size(); ++i) {
+    EXPECT_EQ(in_place.nodes[i].head_elections, full.nodes[i].head_elections)
+        << "node " << i;
+    most = std::max(most, in_place.nodes[i].head_elections);
+  }
+  EXPECT_GT(most, 1u) << "some head must stay seated across a repair";
+
+  // Heads still seated at the end are credited at report time: static
+  // heads that never die win every election of the run.
+  NetSimConfig still = GridConfig(4, 4, /*battery_mah=*/1000.0);
+  still.cluster.protocol = ClusterProtocolKind::kStatic;
+  still.cluster.static_heads = 3;
+  still.cluster.round_s = 10.0;
+  still.horizon_s = 100.0;
+  const NetSimReport report =
+      NetworkSimulator(still, CpuAveragePowerMw(still, model), util::Rng(5))
+          .Run();
+  ASSERT_GT(report.elections, 5u);
+  std::size_t seated = 0;
+  for (const NodeSimStats& n : report.nodes) {
+    if (n.head_elections == 0) continue;
+    ++seated;
+    EXPECT_EQ(n.head_elections, report.elections);
+  }
+  EXPECT_EQ(seated, 3u);
 }
 
 TEST(ClusteredSim, AggregationFoldsMemberSamples) {

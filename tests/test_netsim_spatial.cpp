@@ -6,9 +6,11 @@
 // simulator including clustered mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/models.hpp"
@@ -226,6 +228,196 @@ TEST(SpatialGridRings, NearestOnSingleOccupantAndAllExcludedGrids) {
                                return std::numeric_limits<double>::infinity();
                              }),
             SpatialGrid::kNone);
+}
+
+/// Runs NearestWhereBatch over `points` grouped by cell and checks every
+/// answer against the single-point NearestWhere, and that each query was
+/// scored against exactly the candidates NearestWhere scores for it (a
+/// frozen query must not be scored again).  `usable(j)` excludes
+/// candidates as a dead head would be.
+template <typename UsableFn>
+void ExpectBatchMatchesNearestWhere(const SpatialGrid& grid,
+                                    const std::vector<node::Position>& pos,
+                                    const std::vector<node::Position>& points,
+                                    UsableFn usable, const std::string& what) {
+  const auto cost = [&](const node::Position& p, std::size_t j) {
+    return usable(j) ? node::Distance2(p, pos[j])
+                     : std::numeric_limits<double>::infinity();
+  };
+  std::vector<std::size_t> order(points.size());
+  for (std::size_t q = 0; q < points.size(); ++q) order[q] = q;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return grid.CellOf(points[a]) < grid.CellOf(points[b]);
+  });
+  SpatialGrid::BatchScratch scratch;
+  for (std::size_t lo = 0; lo < order.size();) {
+    const std::size_t cell = grid.CellOf(points[order[lo]]);
+    std::size_t hi = lo;
+    while (hi < order.size() && grid.CellOf(points[order[hi]]) == cell) ++hi;
+    std::vector<std::vector<std::size_t>> scored(hi - lo);
+    std::vector<std::size_t> best(hi - lo, 0);
+    grid.NearestWhereBatch(
+        cell, hi - lo,
+        [&](std::size_t q, std::size_t j) {
+          scored[q].push_back(j);
+          return cost(points[order[lo + q]], j);
+        },
+        best.data(), scratch);
+    for (std::size_t q = 0; q < hi - lo; ++q) {
+      const node::Position& p = points[order[lo + q]];
+      std::vector<std::size_t> single_scored;
+      const std::size_t single = grid.NearestWhere(p, [&](std::size_t j) {
+        single_scored.push_back(j);
+        return cost(p, j);
+      });
+      EXPECT_EQ(best[q], single)
+          << what << ": query " << order[lo + q] << " at (" << p.x << ", "
+          << p.y << ")";
+      std::sort(scored[q].begin(), scored[q].end());
+      std::sort(single_scored.begin(), single_scored.end());
+      EXPECT_EQ(scored[q], single_scored)
+          << what << ": candidates scored for query " << order[lo + q];
+    }
+    lo = hi;
+  }
+}
+
+TEST(SpatialGridRings, BatchMatchesNearestWhereOnRandomClouds) {
+  // Random clouds (half snapped to a coarse lattice so equal-distance
+  // ties occur), random exclusion masks, and query points inside,
+  // between and far outside the bounding box (clamped to boundary
+  // cells).  Many queries share a cell, so batches hold several queries
+  // that freeze at different rings.
+  util::Rng rng(1502);
+  for (int rep = 0; rep < 40; ++rep) {
+    const std::size_t n = 1 + (rng() % 60);
+    std::vector<node::Position> pos;
+    for (std::size_t i = 0; i < n; ++i) {
+      double x = util::UniformDouble(rng) * 300.0;
+      double y = util::UniformDouble(rng) * 300.0;
+      if (rep % 2 == 0) {
+        x = std::floor(x / 25.0) * 25.0;
+        y = std::floor(y / 25.0) * 25.0;
+      }
+      pos.push_back({x, y});
+    }
+    const double cell = 5.0 + util::UniformDouble(rng) * 60.0;
+    const SpatialGrid grid(pos, cell);
+    std::vector<bool> usable(n, true);
+    for (std::size_t i = 0; i < n; ++i) usable[i] = (rng() % 4) != 0;
+    std::vector<node::Position> points;
+    for (int q = 0; q < 60; ++q) {
+      double x = util::UniformDouble(rng) * 600.0 - 150.0;
+      double y = util::UniformDouble(rng) * 600.0 - 150.0;
+      if (rep % 2 == 0) {
+        x = std::floor(x / 12.5) * 12.5;
+        y = std::floor(y / 12.5) * 12.5;
+      }
+      points.push_back({x, y});
+    }
+    ExpectBatchMatchesNearestWhere(
+        grid, pos, points, [&](std::size_t j) { return usable[j]; },
+        "rep " + std::to_string(rep));
+  }
+}
+
+TEST(SpatialGridRings, BatchMatchesNearestWhereOnTiesAndCellBoundaries) {
+  // Equidistant candidates in different rings and in the same ring,
+  // where the higher index is visited first: the batch must keep the
+  // lowest index.  Queries sit exactly on cell boundaries and corners,
+  // on candidates, and off the grid.
+  const std::vector<node::Position> pos{{100.0, 50.0}, {0.0, 50.0},
+                                        {50.0, 0.0},   {50.0, 100.0},
+                                        {0.0, 0.0},    {100.0, 100.0},
+                                        {40.0, 60.0}};
+  const SpatialGrid grid(pos, 20.0);
+  std::vector<node::Position> points;
+  for (double x = -20.0; x <= 120.0; x += 10.0) {
+    for (double y = -20.0; y <= 120.0; y += 10.0) points.push_back({x, y});
+  }
+  points.push_back({50.0, 50.0});
+  points.push_back({-500.0, 50.0});
+  points.push_back({50.0, 900.0});
+  ExpectBatchMatchesNearestWhere(
+      grid, pos, points, [](std::size_t) { return true; }, "all usable");
+  ExpectBatchMatchesNearestWhere(
+      grid, pos, points, [](std::size_t j) { return j != 6; }, "no 6");
+  // A single batch with the two-way tie of NearestTiesBreakTowardLowestIndex:
+  // candidate 1 (ring 2) is found before candidate 0 (ring 3).
+  const std::vector<node::Position> tie{{100.0, 50.0}, {0.0, 50.0}};
+  const SpatialGrid tie_grid(tie, 20.0);
+  const node::Position q{50.0, 50.0};
+  std::size_t best = SpatialGrid::kNone;
+  SpatialGrid::BatchScratch scratch;
+  tie_grid.NearestWhereBatch(
+      tie_grid.CellOf(q), 1,
+      [&](std::size_t, std::size_t j) { return node::Distance2(q, tie[j]); },
+      &best, scratch);
+  EXPECT_EQ(best, 0u);
+  // Every candidate excluded -> kNone for every query of the batch.
+  std::vector<std::size_t> none(3, 0);
+  tie_grid.NearestWhereBatch(
+      tie_grid.CellOf(q), 3,
+      [](std::size_t, std::size_t) {
+        return std::numeric_limits<double>::infinity();
+      },
+      none.data(), scratch);
+  for (std::size_t b : none) EXPECT_EQ(b, SpatialGrid::kNone);
+}
+
+TEST(SpatialGridRings, BatchMatchesNearestWhereAfterRemove) {
+  // Remove() in random order until one node is left; after every
+  // removal the batched and single-point queries must agree with each
+  // other and with a brute-force scan of the survivors, and no query
+  // may visit a removed node.
+  util::Rng rng(91);
+  for (int rep = 0; rep < 12; ++rep) {
+    const std::size_t n = 2 + (rng() % 80);
+    std::vector<node::Position> pos;
+    for (std::size_t i = 0; i < n; ++i) {
+      pos.push_back({std::floor(util::UniformDouble(rng) * 20.0) * 10.0,
+                     std::floor(util::UniformDouble(rng) * 20.0) * 10.0});
+    }
+    SpatialGrid grid(pos, 10.0 + util::UniformDouble(rng) * 30.0);
+    std::vector<bool> present(n, true);
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[rng() % i]);
+    for (std::size_t k = 0; k + 1 < n; ++k) {
+      grid.Remove(order[k]);
+      present[order[k]] = false;
+      EXPECT_EQ(grid.Size(), n - k - 1);
+      std::vector<node::Position> points;
+      for (int q = 0; q < 16; ++q) {
+        points.push_back({util::UniformDouble(rng) * 260.0 - 30.0,
+                          util::UniformDouble(rng) * 260.0 - 30.0});
+      }
+      ExpectBatchMatchesNearestWhere(
+          grid, pos, points,
+          [&](std::size_t j) {
+            EXPECT_TRUE(present[j]) << "visited removed node " << j;
+            return true;
+          },
+          "rep " + std::to_string(rep) + " removal " + std::to_string(k));
+      for (const node::Position& p : points) {
+        EXPECT_EQ(grid.NearestWhere(
+                      p, [&](std::size_t j) { return node::Distance2(p, pos[j]); }),
+                  BruteNearest(pos, present, p));
+        grid.ForEachCandidate(p, [&](std::size_t j) {
+          EXPECT_TRUE(present[j]) << "candidate " << j << " was removed";
+        });
+        grid.ForEachInRadius(p, 50.0, [&](std::size_t j) {
+          EXPECT_TRUE(present[j]) << "radius hit " << j << " was removed";
+        });
+      }
+    }
+  }
+  // Removing a node that is not indexed is a caller bug.
+  SpatialGrid grid({{0.0, 0.0}, {5.0, 5.0}}, 10.0);
+  grid.Remove(1);
+  EXPECT_THROW(grid.Remove(1), util::InvalidArgument);
+  EXPECT_THROW(grid.Remove(2), util::InvalidArgument);
 }
 
 TEST(Distance2, MatchesSquaredDistance) {

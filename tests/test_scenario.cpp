@@ -209,13 +209,13 @@ TEST(ScenarioDeterminism, ClusterAblationOutputPinned) {
 }
 
 // The throughput study times itself, so only its deterministic parts
-// are pinned: scenario name, meta (minus the machine's hardware thread
+// are compared: scenario name, meta (minus the machine's hardware thread
 // count), table headers, the mode/threads cells and the cross-check
 // note.
-TEST(ScenarioDeterminism, NetsimThroughputClusteredDeterministicPartsPinned) {
-  std::vector<const char*> argv = {"test", "--cols=4", "--rows=4",
-                                   "--horizon=50", "--replications=4",
-                                   "--clustered"};
+std::string ThroughputDeterministicParts(
+    const std::vector<std::string>& flags) {
+  std::vector<const char*> argv = {"test"};
+  for (const std::string& f : flags) argv.push_back(f.c_str());
   const util::CliArgs args(static_cast<int>(argv.size()), argv.data());
   util::ParallelExecutor executor(2);
   ScenarioContext ctx;
@@ -239,6 +239,13 @@ TEST(ScenarioDeterminism, NetsimThroughputClusteredDeterministicPartsPinned) {
   for (const util::JsonValue& note : doc.Find("notes")->Items()) {
     out += note.AsString() + "\n";
   }
+  return out;
+}
+
+TEST(ScenarioDeterminism, NetsimThroughputClusteredDeterministicPartsPinned) {
+  const std::string out = ThroughputDeterministicParts(
+      {"--cols=4", "--rows=4", "--horizon=50", "--replications=4",
+       "--clustered"});
   EXPECT_EQ(out.size(), 300u);
   EXPECT_EQ(Fnv1a64(out), 0xc546487e1edb92a2ull);
 }
@@ -384,6 +391,102 @@ TEST(ScenarioRun, RejectsNonPositiveFaultWindowFlags) {
   explicit_default.push_back("--sink-outage=20");
   EXPECT_EQ(RunAll("netsim-faults", small, 1),
             RunAll("netsim-faults", explicit_default, 1));
+}
+
+// Every default the netsim scenarios' help shows is the value the
+// scenario runs with: passing each shown default explicitly must not
+// change the output.  A default changed in a *Defaults() function but
+// not in the help (or the reverse) fails here.
+TEST(ScenarioRegistry, NetsimFlagHelpShowsTheStudyDefaults) {
+  for (const char* name :
+       {"netsim-lifetime", "netsim-throughput", "netsim-clustered",
+        "netsim-heterogeneous", "cluster-ablation", "netsim-faults"}) {
+    std::vector<std::string> shown;
+    for (const util::FlagSpec& f : Lookup(name).Flags()) {
+      if (!f.default_value.empty()) {
+        shown.push_back("--" + f.name + "=" + f.default_value);
+      }
+    }
+    EXPECT_GE(shown.size(), 6u) << name;
+    if (std::string(name) == "netsim-throughput") {
+      EXPECT_EQ(ThroughputDeterministicParts({}),
+                ThroughputDeterministicParts(shown))
+          << name;
+    } else {
+      EXPECT_EQ(RunAll(name, {}, 1), RunAll(name, shown, 1)) << name;
+    }
+  }
+}
+
+/// Expects `scenario` with `flags` to fail before running, with an error
+/// that names `flag` and contains `what`.
+void ExpectFlagRejected(const std::string& scenario,
+                        const std::vector<std::string>& flags,
+                        const std::string& flag, const std::string& what) {
+  try {
+    RunAll(scenario, flags, 1);
+    ADD_FAILURE() << scenario << " accepted " << flags.back();
+  } catch (const util::InvalidArgument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("flag --" + flag + " must be " + what),
+              std::string::npos)
+        << scenario << ": " << msg;
+  }
+}
+
+// --rate, --spacing, --hop, --head-fraction and --round are checked
+// where the wrappers read them, so the error names the flag instead of
+// the library parameter it feeds.
+TEST(ScenarioRun, RejectsNonPositiveRateFlag) {
+  for (const char* scenario :
+       {"netsim-lifetime", "netsim-throughput", "netsim-clustered",
+        "netsim-heterogeneous", "cluster-ablation", "netsim-faults"}) {
+    for (const char* value : {"--rate=0", "--rate=-2"}) {
+      ExpectFlagRejected(scenario, {value}, "rate", "positive");
+    }
+  }
+}
+
+TEST(ScenarioRun, RejectsNonPositiveSpacingFlag) {
+  for (const char* scenario :
+       {"netsim-lifetime", "netsim-throughput", "netsim-clustered",
+        "netsim-heterogeneous", "cluster-ablation", "netsim-faults"}) {
+    for (const char* value : {"--spacing=0", "--spacing=-1"}) {
+      ExpectFlagRejected(scenario, {value}, "spacing", "positive");
+    }
+  }
+}
+
+TEST(ScenarioRun, RejectsNonPositiveHopFlag) {
+  for (const char* scenario :
+       {"netsim-lifetime", "netsim-throughput", "netsim-clustered",
+        "netsim-heterogeneous", "cluster-ablation", "netsim-faults"}) {
+    for (const char* value : {"--hop=0", "--hop=-40"}) {
+      ExpectFlagRejected(scenario, {value}, "hop", "positive");
+    }
+  }
+}
+
+TEST(ScenarioRun, RejectsHeadFractionFlagOutsideUnitInterval) {
+  for (const char* scenario : {"netsim-clustered", "cluster-ablation"}) {
+    for (const char* value :
+         {"--head-fraction=0", "--head-fraction=-0.1", "--head-fraction=1.5"}) {
+      ExpectFlagRejected(scenario, {value}, "head-fraction", "in (0, 1]");
+    }
+  }
+  // The closed end is valid.
+  EXPECT_NO_THROW(RunAll("netsim-clustered",
+                         {"--head-fraction=1", "--horizon=50",
+                          "--replications=1"},
+                         1));
+}
+
+TEST(ScenarioRun, RejectsNonPositiveRoundFlag) {
+  for (const char* scenario : {"netsim-clustered", "cluster-ablation"}) {
+    for (const char* value : {"--round=0", "--round=-25"}) {
+      ExpectFlagRejected(scenario, {value}, "round", "positive");
+    }
+  }
 }
 
 }  // namespace
