@@ -9,6 +9,7 @@
 #include "petri/ctmc_solver.hpp"
 #include "petri/dspn_solver.hpp"
 #include "petri/simulation.hpp"
+#include "util/executor.hpp"
 #include "util/statistics.hpp"
 
 namespace wsn::core {
@@ -22,8 +23,9 @@ ModelEvaluation SimulationCpuModel::Evaluate(const CpuParams& params) const {
   cfg.sim_time = config_.sim_time;
   cfg.warmup_time = config_.warmup;
 
+  util::ParallelExecutor executor(config_.threads);
   const des::CpuEnsembleResult agg = des::RunCpuEnsemble(
-      cfg, config_.seed, config_.replications, config_.threads);
+      cfg, config_.seed, config_.replications, executor);
 
   ModelEvaluation out;
   out.shares.standby = agg.standby.Mean();
@@ -81,8 +83,9 @@ ModelEvaluation PetriNetCpuModel::Evaluate(const CpuParams& params) const {
   cfg.warmup = config_.warmup;
   cfg.seed = config_.seed;
 
+  util::ParallelExecutor executor(config_.threads);
   const petri::EnsembleResult agg = petri::SimulateSpnEnsemble(
-      net, cfg, config_.replications, config_.threads);
+      net, cfg, config_.replications, executor);
 
   const auto mean = [&](petri::PlaceId p) {
     return agg.mean_tokens[p].Mean();

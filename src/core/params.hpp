@@ -29,7 +29,9 @@ struct EvalConfig {
   double warmup = 0.0;            ///< discarded prefix (s)
   std::size_t replications = 16;  ///< independent replications
   std::uint64_t seed = 42;        ///< master seed
-  std::size_t threads = 0;        ///< 0 = hardware concurrency
+  /// Executor width for one Evaluate's replications (0 = hardware
+  /// concurrency, 1 = inline on the calling thread).
+  std::size_t threads = 0;
   std::size_t det_stages = 20;    ///< Erlang stages for numerical solvers
 };
 

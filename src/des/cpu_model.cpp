@@ -4,7 +4,7 @@
 #include <deque>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
+#include "util/executor.hpp"
 
 namespace wsn::des {
 
@@ -210,7 +210,7 @@ CpuRunResult CpuSimulation::Run() {
 CpuEnsembleResult RunCpuEnsemble(const CpuModelConfig& config,
                                  std::uint64_t seed,
                                  std::size_t replications,
-                                 std::size_t threads) {
+                                 util::ParallelExecutor& executor) {
   Require(replications >= 1, "need at least one replication");
   std::vector<CpuRunResult> results(replications);
   util::Rng base(seed);
@@ -220,13 +220,10 @@ CpuEnsembleResult RunCpuEnsemble(const CpuModelConfig& config,
     // generator; each replication then owns its own Xoshiro instance.
     seeds[r] = base();
   }
-  util::ParallelFor(
-      replications,
-      [&](std::size_t r) {
-        CpuSimulation sim(config, seeds[r]);
-        results[r] = sim.Run();
-      },
-      threads);
+  executor.RunIndexed(replications, [&](std::size_t r) {
+    CpuSimulation sim(config, seeds[r]);
+    results[r] = sim.Run();
+  });
 
   CpuEnsembleResult agg;
   for (const CpuRunResult& r : results) {

@@ -18,6 +18,7 @@
 #include "des/trace.hpp"
 #include "des/workload.hpp"
 #include "util/distributions.hpp"
+#include "util/executor.hpp"
 #include "util/rng.hpp"
 #include "util/statistics.hpp"
 
@@ -82,8 +83,8 @@ class CpuSimulation {
   std::unique_ptr<Workload> workload_;
 };
 
-/// Run `replications` independent replications (seeds derived from `seed`
-/// via RNG stream jumps), optionally in parallel, and aggregate.
+/// Aggregate of RunCpuEnsemble: one Add per replication, in replication
+/// order.
 struct CpuEnsembleResult {
   util::RunningStats standby;
   util::RunningStats powerup;
@@ -94,9 +95,13 @@ struct CpuEnsembleResult {
   util::RunningStats completed;
 };
 
+/// Run `replications` independent replications on `executor` and
+/// aggregate.  Replication r's seed is the r-th draw of a generator
+/// seeded with `seed`, so the result does not depend on the executor's
+/// width.
 CpuEnsembleResult RunCpuEnsemble(const CpuModelConfig& config,
                                  std::uint64_t seed,
                                  std::size_t replications,
-                                 std::size_t threads = 0);
+                                 util::ParallelExecutor& executor);
 
 }  // namespace wsn::des

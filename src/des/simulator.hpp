@@ -1,8 +1,8 @@
 // Discrete-event simulation kernel.
 //
 // Single-threaded by design: one Simulator = one replication.  Parallelism
-// happens one level up (util::ParallelFor over replications, each with a
-// jump-separated RNG stream), which keeps the kernel free of locks and the
+// happens one level up (util::ParallelExecutor over replications, each
+// with its own RNG stream), which keeps the kernel free of locks and the
 // results bit-reproducible for a given (seed, replication) pair.
 //
 // Event storage is a generation-checked slab: each pending event occupies

@@ -438,7 +438,6 @@ void ClusterConfig::Validate() const {
 
 std::unique_ptr<ClusteringProtocol> ClusterConfig::MakeProtocol(
     std::size_t node_count) const {
-  if (factory) return factory();
   switch (protocol) {
     case ClusterProtocolKind::kNone:
       return nullptr;

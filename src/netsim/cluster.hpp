@@ -156,7 +156,7 @@ struct ClusterAssignment {
 /// Strategy interface: how cluster heads are chosen and when they rotate.
 ///
 /// One protocol instance serves one replication (constructed per
-/// replication by NetSimConfig::ClusterConfig::factory, so it may keep
+/// replication by ClusterConfig::MakeProtocol, so it may keep
 /// per-round state such as LEACH's eligibility window).  Elect runs at
 /// every round boundary; Repair runs after a cluster-head death inside a
 /// round.  Both must be deterministic functions of (view, rng state).
@@ -289,7 +289,7 @@ class StaticClustering final : public ClusteringProtocol {
   std::vector<std::size_t> heads_;  ///< the original, never-rotated heads
 };
 
-/// Which in-tree protocol ClusterConfig selects when no factory is set.
+/// Which in-tree protocol ClusterConfig selects.
 enum class ClusterProtocolKind {
   kNone,    ///< clustering disabled: flat greedy multi-hop routing
   kLeach,   ///< LeachClustering(head_fraction)
@@ -305,7 +305,7 @@ ClusterProtocolKind ParseClusterProtocolKind(const std::string& name);
 
 /// Clustered-collection knobs on NetSimConfig.
 struct ClusterConfig {
-  /// In-tree protocol choice; ignored when `factory` is set.
+  /// Protocol choice.
   ClusterProtocolKind protocol = ClusterProtocolKind::kNone;
 
   /// LEACH p / the derived static head count fraction, in (0, 1].
@@ -330,14 +330,9 @@ struct ClusterConfig {
   /// selects the slow oracle — useful only for equivalence checks.
   HeadAssignMode assign = HeadAssignMode::kGrid;
 
-  /// Custom protocol constructor, invoked once per replication (possibly
-  /// from worker threads — pure construction only).  Overrides
-  /// `protocol`.
-  std::function<std::unique_ptr<ClusteringProtocol>()> factory;
-
-  /// True when any protocol (in-tree kind or factory) is configured.
+  /// True when a protocol is configured.
   bool Enabled() const noexcept {
-    return protocol != ClusterProtocolKind::kNone || factory != nullptr;
+    return protocol != ClusterProtocolKind::kNone;
   }
 
   /// Throws util::InvalidArgument on out-of-range knobs (see fields).

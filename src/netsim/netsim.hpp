@@ -85,9 +85,8 @@ struct NetSimConfig {
   /// this gates the repair election after a cluster-head death.
   bool rerouting = true;
   /// How a flat-mode death updates the routing table: incremental repair
-  /// (default), grid-accelerated full recompute (correctness oracle) or
-  /// the faithful pre-grid all-pairs recompute (benchmark baseline).
-  /// All three produce identical routes; only the cost differs.
+  /// (default) or grid-accelerated full recompute (correctness oracle).
+  /// Both produce identical routes; only the cost differs.
   RoutingUpdateMode routing_update = RoutingUpdateMode::kIncremental;
   bool stop_at_first_death = false;  ///< end the run at the first death
   bool stop_at_partition = false;    ///< end the run when partitioned

@@ -71,19 +71,4 @@ ReplicationSummary RunReplications(const NetSimConfig& config,
   return Summarize(RunAll(config, cpu_mw, rep, executor), rep);
 }
 
-ReplicationSummary RunReplications(const NetSimConfig& config,
-                                   const core::CpuEnergyModel& cpu_model,
-                                   const ReplicationConfig& rep,
-                                   util::ThreadPool& pool) {
-  util::ParallelExecutor executor(pool);
-  return RunReplications(config, cpu_model, rep, executor);
-}
-
-ReplicationSummary RunReplications(const NetSimConfig& config,
-                                   const core::CpuEnergyModel& cpu_model,
-                                   const ReplicationConfig& rep) {
-  util::ParallelExecutor executor(rep.threads);
-  return RunReplications(config, cpu_model, rep, executor);
-}
-
 }  // namespace wsn::netsim

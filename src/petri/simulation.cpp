@@ -7,7 +7,6 @@
 #include "petri/enabling.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wsn::petri {
 
@@ -173,21 +172,18 @@ SimulationResult SimulateSpn(const PetriNet& net,
 EnsembleResult SimulateSpnEnsemble(const PetriNet& net,
                                    const SimulationConfig& config,
                                    std::size_t replications,
-                                   std::size_t threads) {
+                                   util::ParallelExecutor& executor) {
   Require(replications >= 1, "need at least one replication");
   std::vector<SimulationResult> results(replications);
   util::Rng base(config.seed);
   std::vector<std::uint64_t> seeds(replications);
   for (auto& s : seeds) s = base();
 
-  util::ParallelFor(
-      replications,
-      [&](std::size_t r) {
-        SimulationConfig local = config;
-        local.seed = seeds[r];
-        results[r] = SimulateSpn(net, local);
-      },
-      threads);
+  executor.RunIndexed(replications, [&](std::size_t r) {
+    SimulationConfig local = config;
+    local.seed = seeds[r];
+    results[r] = SimulateSpn(net, local);
+  });
 
   EnsembleResult agg;
   agg.replications = replications;

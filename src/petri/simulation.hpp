@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "petri/net.hpp"
+#include "util/executor.hpp"
 #include "util/statistics.hpp"
 
 namespace wsn::petri {
@@ -67,11 +68,12 @@ struct EnsembleResult {
   std::size_t replications = 0;
 };
 
-/// Run independent replications (seeds derived from config.seed) in
-/// parallel on up to `threads` threads (0 = hardware concurrency).
+/// Run `replications` independent replications on `executor`.
+/// Replication r's seed is the r-th draw of a generator seeded with
+/// config.seed, so the result does not depend on the executor's width.
 EnsembleResult SimulateSpnEnsemble(const PetriNet& net,
                                    const SimulationConfig& config,
                                    std::size_t replications,
-                                   std::size_t threads = 0);
+                                   util::ParallelExecutor& executor);
 
 }  // namespace wsn::petri

@@ -75,11 +75,8 @@ std::vector<std::string> DecodeCells(const std::string& payload) {
 }
 
 PointHarness::PointHarness(const HarnessOptions& options,
-                           const std::string& run_id_hex,
-                           util::ParallelExecutor& inline_executor)
-    : options_(options),
-      run_id_(run_id_hex),
-      inline_executor_(&inline_executor) {
+                           const std::string& run_id_hex)
+    : options_(options), run_id_(run_id_hex) {
   util::Require(!options_.resume || !options_.journal_path.empty(),
                 "--resume requires --journal PATH");
   if (options_.journal_path.empty()) return;
@@ -209,9 +206,7 @@ void PointHarness::AppendRecord(const std::string& key, std::uint64_t seed,
 PointOutcome PointHarness::Execute(const std::string& key, const PointFn& fn) {
   PointOutcome outcome;
   if (!Isolating()) {
-    PointEnv env;
-    env.executor = inline_executor_;
-    outcome.payload = fn(env);
+    outcome.payload = fn(PointEnv{});
     outcome.ok = true;
     return outcome;
   }
@@ -222,14 +217,9 @@ PointOutcome PointHarness::Execute(const std::string& key, const PointFn& fn) {
   policy.max_attempts = options_.retries + 1;
   policy.base_backoff_s = options_.backoff_s;
   policy.backoff_growth = options_.backoff_growth;
-  const std::size_t threads = options_.threads;
   const util::WorkerResult result = util::RunWithRetry(
-      [&fn, threads](std::size_t attempt) {
-        // Forked child: the parent's pool threads do not exist here, so
-        // replication fan-out needs a pool of its own.
-        util::ParallelExecutor child_executor(threads);
+      [&fn](std::size_t attempt) {
         PointEnv env;
-        env.executor = &child_executor;
         env.attempt = attempt;
         env.isolated = true;
         return fn(env);
@@ -335,9 +325,7 @@ void RunPointRow(const ScenarioContext& ctx, ResultTable& table,
                  const std::function<std::vector<std::string>(
                      const ScenarioContext&, const PointEnv&)>& fn) {
   if (ctx.harness == nullptr) {
-    PointEnv env;
-    env.executor = ctx.executor;
-    table.AddRow(fn(ctx, env));
+    table.AddRow(fn(ctx, PointEnv{}));
     return;
   }
   const std::size_t width = table.headers.size();
@@ -345,7 +333,6 @@ void RunPointRow(const ScenarioContext& ctx, ResultTable& table,
   const PointOutcome outcome = ctx.harness->RunPoint(
       key, seed, [&ctx, &fn, width, isolating](const PointEnv& env) {
         ScenarioContext sub = ctx;
-        sub.executor = env.executor;
         sub.harness = nullptr;
         // A forked worker cannot contribute to the parent's obs session;
         // metrics cover inline-executed points only (docs/robustness.md).

@@ -23,12 +23,11 @@
 ///   {... "status":"error","failure":"<taxonomy name>",
 ///    "attempts":<n>,"detail":"<...>"}
 ///
-/// Because a worker is a forked child, the parent's thread pool does
-/// not exist there: isolated point functions receive a PointEnv whose
-/// executor is a FRESH pool constructed inside the child, never the
-/// parent's.  RunPointRow packages the common study shape (one point =
-/// one table row, cells encoded as a JSON string array) including the
-/// --keep-going error-row rendering.
+/// A point function fans out on the executor it already has: an
+/// executor holds no threads between calls, so the same object works
+/// inline and inside a forked worker.  RunPointRow packages the common
+/// study shape (one point = one table row, cells encoded as a JSON
+/// string array) including the --keep-going error-row rendering.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +38,6 @@
 
 #include "scenario/result.hpp"
 #include "scenario/scenario.hpp"
-#include "util/executor.hpp"
 #include "util/subproc.hpp"
 
 namespace wsn::scenario {
@@ -55,7 +53,6 @@ struct HarnessOptions {
   bool keep_going = false;       ///< --keep-going: error rows, not aborts
   std::string journal_path;      ///< --journal PATH ("" = off)
   bool resume = false;           ///< --resume: replay completed points
-  std::size_t threads = 0;       ///< child executor width (0 = hardware)
 
   /// Any flag that needs a forked worker turns isolation on.
   bool Isolating() const {
@@ -65,10 +62,6 @@ struct HarnessOptions {
 
 /// What a point function runs under.
 struct PointEnv {
-  /// The executor to fan replication work through.  Inline: the driver's
-  /// executor.  Isolated: a fresh pool built inside the forked child
-  /// (the parent's pool threads do not survive fork()).
-  util::ParallelExecutor* executor = nullptr;
   std::size_t attempt = 0;  ///< 0 on the first try, 1.. on retries
   bool isolated = false;    ///< running inside a forked worker
 };
@@ -107,8 +100,7 @@ class PointHarness {
   /// by a different configuration.  Opens (and on --resume first loads)
   /// the journal; throws on unwritable paths, corrupt records or a
   /// run-id mismatch.
-  PointHarness(const HarnessOptions& options, const std::string& run_id_hex,
-               util::ParallelExecutor& inline_executor);
+  PointHarness(const HarnessOptions& options, const std::string& run_id_hex);
   ~PointHarness();
   PointHarness(const PointHarness&) = delete;
   PointHarness& operator=(const PointHarness&) = delete;
@@ -143,7 +135,6 @@ class PointHarness {
 
   HarnessOptions options_;
   std::string run_id_;
-  util::ParallelExecutor* inline_executor_;
   int journal_fd_ = -1;
   std::map<std::string, JournalEntry> completed_;
   std::vector<PointFailure> failures_;
@@ -163,8 +154,8 @@ class PointHarness {
 /// explicit error row: `label`, "error: <taxonomy> (N attempts)", then
 /// "-" for every remaining column.
 ///
-/// `fn` receives a sub-context sharing the parent's args but carrying
-/// the PointEnv's executor; under isolation obs is null (a forked
+/// `fn` receives a sub-context sharing the parent's args and executor,
+/// without the harness; under isolation obs is null (a forked
 /// child cannot contribute to the parent's session — replayed and
 /// isolated points are absent from --metrics, see docs/robustness.md).
 void RunPointRow(const ScenarioContext& ctx, ResultTable& table,

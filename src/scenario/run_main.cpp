@@ -80,7 +80,6 @@ HarnessOptions HarnessOptionsFromArgs(const util::CliArgs& args) {
   o.keep_going = args.GetBool("keep-going");
   o.journal_path = args.GetString("journal", "");
   o.resume = args.GetBool("resume");
-  o.threads = args.GetCount("threads", 0);
   util::Require(o.deadline_s >= 0.0, "--deadline must be >= 0");
   util::Require(o.backoff_s >= 0.0, "--backoff must be >= 0");
   if (o.resume && o.journal_path.empty()) {
@@ -191,7 +190,7 @@ int DriveRun(const util::CliArgs& args, const std::string& run_identity,
   std::unique_ptr<PointHarness> harness;
   if (HarnessActive(harness_options)) {
     harness = std::make_unique<PointHarness>(
-        harness_options, RunConfigId(run_identity, args), executor);
+        harness_options, RunConfigId(run_identity, args));
     InstallHarnessSignalHandlers();
   }
 

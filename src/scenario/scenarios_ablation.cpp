@@ -8,6 +8,7 @@
 #include "petri/simulation.hpp"
 #include "scenario/common.hpp"
 #include "scenario/scenario.hpp"
+#include "util/executor.hpp"
 #include "util/statistics.hpp"
 #include "util/table.hpp"
 
@@ -142,8 +143,10 @@ ResultSet RunAblationSteady(const ScenarioContext& ctx) {
         cfg.horizon = c.horizon;
         cfg.warmup = c.horizon * c.warmup_frac;
         cfg.seed = 77;
+        // Already inside a Map job: the ensemble runs inline.
+        util::ParallelExecutor serial(1);
         const petri::EnsembleResult agg =
-            petri::SimulateSpnEnsemble(net, cfg, c.reps);
+            petri::SimulateSpnEnsemble(net, cfg, c.reps, serial);
         // idle = E[#CPU_ON] - E[#Active]; Active is nearly constant, so
         // approximate the idle spread by the CPU_ON spread.
         const double mean = agg.mean_tokens[layout.cpu_on].Mean() -

@@ -163,16 +163,12 @@ ChaosOutcome RunChaosCell(const ChaosParams& params, std::uint64_t seed,
   options.retries = 3;     // chaos never kills attempt 2: always enough
   options.backoff_s = 0.0; // the self-test does not really sleep
   options.journal_path = journal;
-  options.threads = width;
   const std::string run_id = util::HexU64(util::Fnv1a64Mix(seed));
 
-  const auto point_fn = [&params, seed](std::size_t i) {
-    return [&params, seed, i](const PointEnv& env) {
-      std::vector<std::string> cells;
-      {
-        // Fresh executor handed in by the harness (forked child).
-        cells = PointCells(params, i, seed, *env.executor);
-      }
+  const auto point_fn = [&params, seed, &executor](std::size_t i) {
+    return [&params, seed, &executor, i](const PointEnv& env) {
+      const std::vector<std::string> cells =
+          PointCells(params, i, seed, executor);
       int sig = 0;
       if (env.isolated && ShouldKill(seed, i, env.attempt, &sig)) {
         // Mid-point death: the work is done but the result never
@@ -190,7 +186,7 @@ ChaosOutcome RunChaosCell(const ChaosParams& params, std::uint64_t seed,
   // ---- phase A: chaos run "killed" after half the points ----------
   const std::size_t half = params.points / 2;
   {
-    PointHarness harness(options, run_id, executor);
+    PointHarness harness(options, run_id);
     for (std::size_t i = 0; i < half; ++i) {
       harness.RunPoint(key(i), seed, point_fn(i));
     }
@@ -220,7 +216,7 @@ ChaosOutcome RunChaosCell(const ChaosParams& params, std::uint64_t seed,
   options.resume = true;
   std::vector<std::vector<std::string>> resumed_rows;
   {
-    PointHarness harness(options, run_id, executor);
+    PointHarness harness(options, run_id);
     for (std::size_t i = 0; i < params.points; ++i) {
       const PointOutcome point = harness.RunPoint(key(i), seed, point_fn(i));
       resumed_rows.push_back(DecodeCells(point.payload));
@@ -253,9 +249,7 @@ void CheckKeepGoing(const ChaosParams& params, std::uint64_t seed) {
   options.retries = 1;
   options.backoff_s = 0.0;
   options.keep_going = true;
-  options.threads = 1;
-  PointHarness harness(options, util::HexU64(util::Fnv1a64Mix(seed)),
-                       executor);
+  PointHarness harness(options, util::HexU64(util::Fnv1a64Mix(seed)));
   const char* const argv[] = {"harness-chaos"};
   const util::CliArgs args(1, argv);
   ScenarioContext ctx;
@@ -266,8 +260,9 @@ void CheckKeepGoing(const ChaosParams& params, std::uint64_t seed) {
   ResultSet results("keep-going");
   ResultTable& table = results.AddTable("sweep", kInnerHeaders);
   RunPointRow(ctx, table, "healthy point", seed, "healthy",
-              [&params, seed](const ScenarioContext&, const PointEnv& env) {
-                return PointCells(params, 0, seed, *env.executor);
+              [&params, seed](const ScenarioContext& point_ctx,
+                              const PointEnv&) {
+                return PointCells(params, 0, seed, point_ctx.Executor());
               });
   RunPointRow(ctx, table, "doomed point", seed, "doomed",
               [](const ScenarioContext&,

@@ -186,17 +186,19 @@ std::string GenerateSpecText(util::Rng& rng) {
   return w.Str();
 }
 
-/// The heavy half of one fuzz config: interpret the spec on `executor`,
-/// then on a single-threaded twin, and byte-compare the rendered JSON.
-/// The interpreter asserts conservation and the oracle/analytic checks
-/// inside each run; identical renders pin thread-count determinism.
-void RunDifferential(const ScenarioContext& ctx, const ScenarioSpec& spec,
-                     util::ParallelExecutor& executor, std::size_t index,
+/// The heavy half of one fuzz config: interpret the spec on the context's
+/// executor, then on a single-threaded twin, and byte-compare the
+/// rendered JSON.  The interpreter asserts conservation and the
+/// oracle/analytic checks inside each run; identical renders pin
+/// thread-count determinism.  `obs` is the session the first run
+/// contributes to (null inside a forked worker).
+void RunDifferential(const ScenarioContext& ctx, obs::Session* obs,
+                     const ScenarioSpec& spec, std::size_t index,
                      const std::string& repro) {
   ScenarioContext exec_ctx;
   exec_ctx.args = ctx.args;
-  exec_ctx.executor = &executor;
-  exec_ctx.obs = ctx.obs;
+  exec_ctx.executor = ctx.executor;
+  exec_ctx.obs = obs;
   ResultSet first = [&] {
     try {
       return RunSpec(exec_ctx, spec);
@@ -262,21 +264,14 @@ ResultSet RunNetsimFuzz(const ScenarioContext& ctx) {
       // Deadline fence (--config-deadline): the whole differential runs
       // in a forked worker so a hung config is killed and reported with
       // the same one-line repro as any other failure, instead of
-      // stalling the entire fuzz sweep (docs/robustness.md).  The
-      // worker builds its own executor — the parent's pool threads do
-      // not survive fork().
-      const std::size_t width = ctx.Executor().ThreadCount();
+      // stalling the entire fuzz sweep (docs/robustness.md).
       util::WorkerLimits limits;
       limits.deadline_s = config_deadline_s;
       const util::WorkerResult result = util::RunInWorker(
-          [&ctx, &spec, index, &repro, width] {
-            util::ParallelExecutor executor(width);
-            ScenarioContext worker_ctx;
-            worker_ctx.args = ctx.args;
-            worker_ctx.executor = &executor;
+          [&ctx, &spec, index, &repro] {
             // obs stays off: a forked worker cannot contribute to the
             // parent's session.
-            RunDifferential(worker_ctx, spec, executor, index, repro);
+            RunDifferential(ctx, nullptr, spec, index, repro);
             return std::string();
           },
           limits);
@@ -291,7 +286,7 @@ ResultSet RunNetsimFuzz(const ScenarioContext& ctx) {
         throw util::Error(what);
       }
     } else {
-      RunDifferential(ctx, spec, *ctx.executor, index, repro);
+      RunDifferential(ctx, ctx.obs, spec, index, repro);
     }
 
     // Shape + effort recap for the table, read back out of the spec.

@@ -1,24 +1,23 @@
 #include "util/executor.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
+
 namespace wsn::util {
 
-ParallelExecutor::ParallelExecutor(std::size_t threads) {
-  if (threads == 1) return;  // serial: no pool
-  owned_ = std::make_unique<ThreadPool>(threads);
-  pool_ = owned_.get();
-}
-
-ParallelExecutor::ParallelExecutor(ThreadPool& pool) : pool_(&pool) {}
-
-std::size_t ParallelExecutor::ThreadCount() const noexcept {
-  return pool_ == nullptr ? 1 : pool_->ThreadCount();
+ParallelExecutor::ParallelExecutor(std::size_t threads)
+    : width_(threads != 0
+                 ? threads
+                 : std::max<std::size_t>(1,
+                                         std::thread::hardware_concurrency())) {
 }
 
 void ParallelExecutor::RunIndexed(
     std::size_t n, const std::function<void(std::size_t)>& fn) const {
-  if (n == 0) return;
-  if (pool_ == nullptr) {
-    // Serial: the first throw is by construction the lowest failing index.
+  if (width_ == 1 || n <= 1) {
+    // Inline: the first throw is by construction the lowest failing index.
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -26,18 +25,28 @@ void ParallelExecutor::RunIndexed(
   // then rethrow the lowest-index one — identical to what a serial run
   // would have surfaced first.
   std::vector<std::exception_ptr> errors(n);
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool_->Submit([i, &fn, &errors] {
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
       try {
         fn(i);
       } catch (...) {
         errors[i] = std::current_exception();
       }
-    }));
+    }
+  };
+  const std::size_t spawn = std::min(width_, n) - 1;
+  std::vector<std::thread> threads;
+  threads.reserve(spawn);
+  try {
+    while (threads.size() < spawn) threads.emplace_back(work);
+  } catch (...) {
+    // A spawn failed (out of threads or memory): the threads already
+    // started and the caller still drain every index, and no result
+    // depends on how many threads ran.
   }
-  for (auto& f : futures) f.get();
+  work();
+  for (std::thread& t : threads) t.join();
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }

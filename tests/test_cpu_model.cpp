@@ -7,6 +7,7 @@
 #include "des/cpu_model.hpp"
 #include "markov/mm1.hpp"
 #include "util/error.hpp"
+#include "util/executor.hpp"
 
 namespace wsn::des {
 namespace {
@@ -98,7 +99,8 @@ TEST(CpuModel, HugeThresholdBehavesLikeMm1) {
   cfg.power_down_threshold = 1e9;  // never powers down after first wake
   cfg.power_up_delay = 0.001;
   cfg.sim_time = 20000.0;
-  const CpuEnsembleResult agg = RunCpuEnsemble(cfg, 11, 8);
+  util::ParallelExecutor executor;
+  const CpuEnsembleResult agg = RunCpuEnsemble(cfg, 11, 8, executor);
 
   const markov::Mm1 mm1{1.0, 10.0};
   EXPECT_NEAR(agg.active.Mean(), mm1.Utilization(), 0.01);
@@ -114,7 +116,8 @@ TEST(CpuModel, ZeroDelaysMatchMm1WithSleep) {
   cfg.power_down_threshold = 0.0;
   cfg.power_up_delay = 0.0;
   cfg.sim_time = 20000.0;
-  const CpuEnsembleResult agg = RunCpuEnsemble(cfg, 13, 8);
+  util::ParallelExecutor executor;
+  const CpuEnsembleResult agg = RunCpuEnsemble(cfg, 13, 8, executor);
   EXPECT_NEAR(agg.active.Mean(), 0.1, 0.01);
   EXPECT_NEAR(agg.standby.Mean(), 0.9, 0.01);
   EXPECT_LT(agg.idle.Mean(), 1e-9);
@@ -161,9 +164,33 @@ TEST(CpuModel, JobsConserved) {
 TEST(CpuModel, EnsembleCiShrinksWithReplications) {
   CpuModelConfig cfg;
   cfg.sim_time = 200.0;
-  const auto few = RunCpuEnsemble(cfg, 5, 4);
-  const auto many = RunCpuEnsemble(cfg, 5, 32);
+  util::ParallelExecutor executor;
+  const auto few = RunCpuEnsemble(cfg, 5, 4, executor);
+  const auto many = RunCpuEnsemble(cfg, 5, 32, executor);
   EXPECT_GT(few.idle.StdError(), many.idle.StdError());
+}
+
+TEST(CpuModel, EnsembleBitIdenticalAcrossExecutorWidths) {
+  // Replication seeds come from the base generator, not the thread that
+  // runs them, and aggregation is in replication order: widths 1 and 4
+  // must agree to the last bit.
+  CpuModelConfig cfg;
+  cfg.power_down_threshold = 0.2;
+  cfg.power_up_delay = 0.3;
+  cfg.sim_time = 200.0;
+  util::ParallelExecutor serial(1);
+  util::ParallelExecutor parallel(4);
+  const CpuEnsembleResult a = RunCpuEnsemble(cfg, 17, 12, serial);
+  const CpuEnsembleResult b = RunCpuEnsemble(cfg, 17, 12, parallel);
+  for (const auto member :
+       {&CpuEnsembleResult::standby, &CpuEnsembleResult::powerup,
+        &CpuEnsembleResult::idle, &CpuEnsembleResult::active,
+        &CpuEnsembleResult::mean_latency, &CpuEnsembleResult::mean_jobs,
+        &CpuEnsembleResult::completed}) {
+    EXPECT_EQ((a.*member).Count(), (b.*member).Count());
+    EXPECT_EQ((a.*member).Mean(), (b.*member).Mean());
+    EXPECT_EQ((a.*member).Variance(), (b.*member).Variance());
+  }
 }
 
 TEST(CpuModel, DeterministicGivenSeed) {

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -86,39 +87,47 @@ TEST(HarnessCells, DecodeRejectsMalformedPayloads) {
   EXPECT_THROW(DecodeCells("[1, 2]"), util::Error);      // not strings
 }
 
-TEST(Harness, InlinePointRunsOnTheDriversExecutor) {
-  Fixture f;
-  HarnessOptions options;  // everything off: zero-cost-when-off path
-  PointHarness harness(options, "0123456789abcdef", f.executor);
-  EXPECT_FALSE(harness.Isolating());
-  const PointOutcome out =
-      harness.RunPoint("p0", 7, [&f](const PointEnv& env) {
-        EXPECT_EQ(env.executor, &f.executor);
-        EXPECT_FALSE(env.isolated);
-        return std::string("payload");
-      });
-  EXPECT_TRUE(out.ok);
-  EXPECT_FALSE(out.replayed);
-  EXPECT_EQ(out.payload, "payload");
+/// Runs one point through RunPointRow under `options` and returns its
+/// row: whether the point saw the driver's executor, whether it ran
+/// isolated, and the sum of squares it fanned out on that executor.
+std::vector<std::string> ExecutorProbeRow(Fixture& f,
+                                          const HarnessOptions& options) {
+  PointHarness harness(options, "0123456789abcdef");
+  const ScenarioContext ctx = f.Ctx(&harness);
+  ResultSet results("probe");
+  ResultTable& table =
+      results.AddTable("t", {"same executor", "isolated", "sum"});
+  RunPointRow(ctx, table, "p0", 7, "p0",
+              [&f](const ScenarioContext& point_ctx, const PointEnv& env) {
+                const std::vector<std::size_t> squares =
+                    point_ctx.Executor().Map(
+                        8, [](std::size_t i) { return i * i; });
+                return std::vector<std::string>{
+                    point_ctx.executor == &f.executor ? "yes" : "no",
+                    env.isolated ? "yes" : "no",
+                    std::to_string(std::accumulate(squares.begin(),
+                                                   squares.end(),
+                                                   std::size_t{0}))};
+              });
   EXPECT_EQ(harness.Counters().at("harness.points.executed"), 1u);
+  return table.rows.at(0);
 }
 
-TEST(Harness, IsolatedPointRunsInAWorkerWithAFreshExecutor) {
+TEST(Harness, InlinePointRunsOnTheDriversExecutor) {
+  Fixture f;
+  const HarnessOptions options;  // everything off: zero-cost-when-off path
+  EXPECT_EQ(ExecutorProbeRow(f, options),
+            (std::vector<std::string>{"yes", "no", "140"}));
+}
+
+TEST(Harness, IsolatedPointFansOutOnTheDriversExecutorInAWorker) {
+  // The executor is only a width, so the forked child fans out on the
+  // very object the driver built, exactly as an inline point does.
   Fixture f;
   HarnessOptions options;
   options.isolate = true;
-  options.threads = 2;
-  PointHarness harness(options, "0123456789abcdef", f.executor);
-  ASSERT_TRUE(harness.Isolating());
-  const PointOutcome out =
-      harness.RunPoint("p0", 7, [&f](const PointEnv& env) {
-        // Forked child: a fresh pool, not the parent's.
-        EXPECT_NE(env.executor, &f.executor);
-        EXPECT_TRUE(env.isolated);
-        return std::string("isolated payload");
-      });
-  EXPECT_TRUE(out.ok);
-  EXPECT_EQ(out.payload, "isolated payload");
+  EXPECT_EQ(ExecutorProbeRow(f, options),
+            (std::vector<std::string>{"yes", "yes", "140"}));
 }
 
 TEST(Harness, JournalRecordsMatchTheDocumentedSchema) {
@@ -127,7 +136,7 @@ TEST(Harness, JournalRecordsMatchTheDocumentedSchema) {
   HarnessOptions options;
   options.journal_path = dir.File("run.jsonl");
   {
-    PointHarness harness(options, "00000000deadbeef", f.executor);
+    PointHarness harness(options, "00000000deadbeef");
     harness.RunPoint("alpha", 11,
                      [](const PointEnv&) { return std::string("A"); });
     harness.RunPoint("beta", 12,
@@ -151,14 +160,14 @@ TEST(Harness, ResumeReplaysCompletedPointsWithoutExecuting) {
   HarnessOptions options;
   options.journal_path = dir.File("run.jsonl");
   {
-    PointHarness first(options, "00000000deadbeef", f.executor);
+    PointHarness first(options, "00000000deadbeef");
     first.RunPoint("alpha", 1,
                    [](const PointEnv&) { return std::string("A"); });
     first.RunPoint("beta", 2,
                    [](const PointEnv&) { return std::string("B"); });
   }
   options.resume = true;
-  PointHarness resumed(options, "00000000deadbeef", f.executor);
+  PointHarness resumed(options, "00000000deadbeef");
   bool executed = false;
   const PointOutcome alpha =
       resumed.RunPoint("alpha", 1, [&executed](const PointEnv&) {
@@ -184,13 +193,13 @@ TEST(Harness, ResumeRejectsAJournalFromADifferentRunConfiguration) {
   HarnessOptions options;
   options.journal_path = dir.File("run.jsonl");
   {
-    PointHarness first(options, "aaaaaaaaaaaaaaaa", f.executor);
+    PointHarness first(options, "aaaaaaaaaaaaaaaa");
     first.RunPoint("alpha", 1,
                    [](const PointEnv&) { return std::string("A"); });
   }
   options.resume = true;
   try {
-    PointHarness other(options, "bbbbbbbbbbbbbbbb", f.executor);
+    PointHarness other(options, "bbbbbbbbbbbbbbbb");
     FAIL() << "run-id mismatch was not rejected";
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find("different run configuration"),
@@ -205,7 +214,7 @@ TEST(Harness, ResumeToleratesATornFinalRecordOnly) {
   HarnessOptions options;
   options.journal_path = dir.File("run.jsonl");
   {
-    PointHarness first(options, "00000000deadbeef", f.executor);
+    PointHarness first(options, "00000000deadbeef");
     first.RunPoint("alpha", 1,
                    [](const PointEnv&) { return std::string("A"); });
   }
@@ -216,7 +225,7 @@ TEST(Harness, ResumeToleratesATornFinalRecordOnly) {
     out << "{\"schema\":\"wsn-journal-v1\",\"run\":\"00000000dead";
   }
   options.resume = true;
-  PointHarness resumed(options, "00000000deadbeef", f.executor);
+  PointHarness resumed(options, "00000000deadbeef");
   const PointOutcome alpha = resumed.RunPoint(
       "alpha", 1, [](const PointEnv&) { return std::string("A"); });
   EXPECT_TRUE(alpha.replayed) << "the intact record before the tear";
@@ -228,7 +237,7 @@ TEST(Harness, ResumeToleratesATornFinalRecordOnly) {
     out << "garbage not json\n";
     out << "{\"schema\":\"wsn-journal-v1\"}\n";
   }
-  EXPECT_THROW(PointHarness(options, "00000000deadbeef", f.executor),
+  EXPECT_THROW(PointHarness(options, "00000000deadbeef"),
                util::Error);
 }
 
@@ -238,7 +247,7 @@ TEST(Harness, ResumeVerifiesThePayloadHash) {
   HarnessOptions options;
   options.journal_path = dir.File("run.jsonl");
   {
-    PointHarness first(options, "00000000deadbeef", f.executor);
+    PointHarness first(options, "00000000deadbeef");
     first.RunPoint("alpha", 1,
                    [](const PointEnv&) { return std::string("A"); });
   }
@@ -261,7 +270,7 @@ TEST(Harness, ResumeVerifiesThePayloadHash) {
   }
   options.resume = true;
   try {
-    PointHarness resumed(options, "00000000deadbeef", f.executor);
+    PointHarness resumed(options, "00000000deadbeef");
     FAIL() << "payload hash mismatch was not rejected";
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find("hash mismatch"), std::string::npos)
@@ -275,7 +284,7 @@ TEST(Harness, ExhaustedPointThrowsWorkerErrorWithoutKeepGoing) {
   options.isolate = true;
   options.retries = 1;
   options.backoff_s = 0.0;  // no real sleeping in tests
-  PointHarness harness(options, "0123456789abcdef", f.executor);
+  PointHarness harness(options, "0123456789abcdef");
   try {
     harness.RunPoint("doomed", 1, [](const PointEnv&) {
       // SIGKILL, not SIGSEGV: sanitizers intercept SEGV and exit
@@ -300,7 +309,7 @@ TEST(Harness, KeepGoingRecordsAnErrorRowAndJournalsTheFailure) {
   options.isolate = true;
   options.keep_going = true;
   options.journal_path = dir.File("run.jsonl");
-  PointHarness harness(options, "0123456789abcdef", f.executor);
+  PointHarness harness(options, "0123456789abcdef");
   ScenarioContext ctx = f.Ctx(&harness);
 
   ResultSet results("keep-going");
@@ -338,7 +347,7 @@ TEST(Harness, KeepGoingRecordsAnErrorRowAndJournalsTheFailure) {
   // The journaled failure replays verbatim on resume (same error row),
   // still counted as a failure so the exit summary stays nonzero.
   options.resume = true;
-  PointHarness resumed(options, "0123456789abcdef", f.executor);
+  PointHarness resumed(options, "0123456789abcdef");
   const PointOutcome replayed = resumed.RunPoint(
       "crash-point", 2, [](const PointEnv&) { return std::string("?"); });
   EXPECT_TRUE(replayed.replayed);
@@ -351,7 +360,7 @@ TEST(Harness, RowArityMismatchIsANamedError) {
   Fixture f;
   HarnessOptions options;
   options.keep_going = true;  // harness active, but inline (no fork)
-  PointHarness harness(options, "0123456789abcdef", f.executor);
+  PointHarness harness(options, "0123456789abcdef");
   ScenarioContext ctx = f.Ctx(&harness);
   ResultSet results("arity");
   ResultTable& table = results.AddTable("t", {"a", "b"});
@@ -370,7 +379,7 @@ TEST(Harness, ResumeRequiresAJournalPath) {
   Fixture f;
   HarnessOptions options;
   options.resume = true;
-  EXPECT_THROW(PointHarness(options, "0123456789abcdef", f.executor),
+  EXPECT_THROW(PointHarness(options, "0123456789abcdef"),
                util::Error);
 }
 

@@ -115,13 +115,13 @@ TEST(NetSim, ReplicationResultsIndependentOfThreadCount) {
   ReplicationConfig serial;
   serial.replications = 6;
   serial.seed = 77;
-  serial.threads = 1;
   serial.keep_reports = true;
   ReplicationConfig parallel = serial;
-  parallel.threads = 4;
 
-  const ReplicationSummary rs = RunReplications(cfg, model, serial);
-  const ReplicationSummary rp = RunReplications(cfg, model, parallel);
+  util::ParallelExecutor one(1);
+  util::ParallelExecutor four(4);
+  const ReplicationSummary rs = RunReplications(cfg, model, serial, one);
+  const ReplicationSummary rp = RunReplications(cfg, model, parallel, four);
   ASSERT_EQ(rs.reports.size(), rp.reports.size());
   for (std::size_t r = 0; r < rs.reports.size(); ++r) {
     EXPECT_EQ(rs.reports[r].packets.delivered, rp.reports[r].packets.delivered)
@@ -150,7 +150,9 @@ TEST(NetSim, FirstDeathMatchesAnalyticLifetimeOnChain) {
   ReplicationConfig rep;
   rep.replications = 40;
   rep.seed = 2008;
-  const ReplicationSummary summary = RunReplications(cfg, model, rep);
+  util::ParallelExecutor executor;
+  const ReplicationSummary summary =
+      RunReplications(cfg, model, rep, executor);
 
   ASSERT_EQ(summary.first_death_s.observed, rep.replications)
       << "every replication must reach a first death before the horizon";

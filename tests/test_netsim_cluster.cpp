@@ -723,13 +723,13 @@ TEST(ClusteredSim, ReplicationsIndependentOfThreadCount) {
   ReplicationConfig serial;
   serial.replications = 4;
   serial.seed = 99;
-  serial.threads = 1;
   serial.keep_reports = true;
   ReplicationConfig parallel = serial;
-  parallel.threads = 4;
 
-  const ReplicationSummary rs = RunReplications(cfg, model, serial);
-  const ReplicationSummary rp = RunReplications(cfg, model, parallel);
+  util::ParallelExecutor one(1);
+  util::ParallelExecutor four(4);
+  const ReplicationSummary rs = RunReplications(cfg, model, serial, one);
+  const ReplicationSummary rp = RunReplications(cfg, model, parallel, four);
   ASSERT_EQ(rs.reports.size(), rp.reports.size());
   for (std::size_t r = 0; r < rs.reports.size(); ++r) {
     EXPECT_EQ(rs.reports[r].packets.delivered, rp.reports[r].packets.delivered)
@@ -760,10 +760,12 @@ TEST(ClusteredSim, LeachRotationBeatsStaticHeadsOnFirstDeath) {
   ReplicationConfig rep;
   rep.replications = 6;
   rep.seed = 2008;
-  rep.threads = 1;
 
-  const ReplicationSummary leach_sum = RunReplications(leach, model, rep);
-  const ReplicationSummary still_sum = RunReplications(still, model, rep);
+  util::ParallelExecutor serial(1);
+  const ReplicationSummary leach_sum =
+      RunReplications(leach, model, rep, serial);
+  const ReplicationSummary still_sum =
+      RunReplications(still, model, rep, serial);
   ASSERT_EQ(leach_sum.first_death_s.observed, rep.replications);
   ASSERT_EQ(still_sum.first_death_s.observed, rep.replications);
   EXPECT_GT(leach_sum.first_death_s.ci.mean,
@@ -807,7 +809,9 @@ TEST(HeterogeneousSim, FirstDeathMatchesPerNodeAnalyticEstimate) {
   ReplicationConfig rep;
   rep.replications = 32;
   rep.seed = 2008;
-  const ReplicationSummary summary = RunReplications(cfg, model, rep);
+  util::ParallelExecutor executor;
+  const ReplicationSummary summary =
+      RunReplications(cfg, model, rep, executor);
   ASSERT_EQ(summary.first_death_s.observed, rep.replications);
   const util::ConfidenceInterval& ci = summary.first_death_s.ci;
   EXPECT_TRUE(ci.Contains(analytic.network_lifetime_seconds))

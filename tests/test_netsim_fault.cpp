@@ -632,10 +632,10 @@ TEST(FaultReplication, ThreadCountInvariantWithFaults) {
   rep.seed = 2008;
   rep.keep_reports = true;
 
-  rep.threads = 1;
-  const ReplicationSummary serial = RunReplications(cfg, model, rep);
-  rep.threads = 4;
-  const ReplicationSummary parallel = RunReplications(cfg, model, rep);
+  util::ParallelExecutor one(1);
+  util::ParallelExecutor four(4);
+  const ReplicationSummary serial = RunReplications(cfg, model, rep, one);
+  const ReplicationSummary parallel = RunReplications(cfg, model, rep, four);
 
   ASSERT_EQ(serial.reports.size(), parallel.reports.size());
   std::uint64_t total_crashes = 0;

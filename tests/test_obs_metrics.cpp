@@ -183,12 +183,14 @@ TEST(NetSimObs, MergedMetricsIndependentOfThreadCount) {
   netsim::ReplicationConfig serial;
   serial.replications = 6;
   serial.seed = 77;
-  serial.threads = 1;
   netsim::ReplicationConfig parallel = serial;
-  parallel.threads = 4;
 
-  const netsim::ReplicationSummary rs = RunReplications(cfg, model, serial);
-  const netsim::ReplicationSummary rp = RunReplications(cfg, model, parallel);
+  util::ParallelExecutor one(1);
+  util::ParallelExecutor four(4);
+  const netsim::ReplicationSummary rs =
+      RunReplications(cfg, model, serial, one);
+  const netsim::ReplicationSummary rp =
+      RunReplications(cfg, model, parallel, four);
   EXPECT_FALSE(rs.metrics.Empty());
   EXPECT_EQ(rs.metrics.ToJson(2, /*include_timings=*/false),
             rp.metrics.ToJson(2, /*include_timings=*/false));

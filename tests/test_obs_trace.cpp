@@ -159,12 +159,14 @@ TEST(NetSimTrace, ConcatenatedTraceIndependentOfThreadCount) {
   netsim::ReplicationConfig serial;
   serial.replications = 4;
   serial.seed = 11;
-  serial.threads = 1;
   netsim::ReplicationConfig parallel = serial;
-  parallel.threads = 4;
 
-  const netsim::ReplicationSummary rs = RunReplications(cfg, model, serial);
-  const netsim::ReplicationSummary rp = RunReplications(cfg, model, parallel);
+  util::ParallelExecutor one(1);
+  util::ParallelExecutor four(4);
+  const netsim::ReplicationSummary rs =
+      RunReplications(cfg, model, serial, one);
+  const netsim::ReplicationSummary rp =
+      RunReplications(cfg, model, parallel, four);
   ASSERT_FALSE(rs.trace.empty());
   EXPECT_EQ(rs.trace, rp.trace);
   for (std::uint32_t r = 0; r < 4; ++r) {

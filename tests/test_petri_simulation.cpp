@@ -9,6 +9,7 @@
 #include "petri/simulation.hpp"
 #include "petri/standard_nets.hpp"
 #include "util/error.hpp"
+#include "util/executor.hpp"
 
 namespace wsn::petri {
 namespace {
@@ -200,12 +201,34 @@ TEST(SpnSimulation, EnsembleAggregatesReplications) {
   const PetriNet net = MakePingPongNet(1.0, 1.0);
   SimulationConfig cfg;
   cfg.horizon = 500.0;
-  const EnsembleResult agg = SimulateSpnEnsemble(net, cfg, 16, 4);
+  util::ParallelExecutor executor(4);
+  const EnsembleResult agg = SimulateSpnEnsemble(net, cfg, 16, executor);
   EXPECT_EQ(agg.replications, 16u);
   EXPECT_EQ(agg.mean_tokens[0].Count(), 16u);
   EXPECT_NEAR(agg.mean_tokens[net.PlaceByName("ping")].Mean(), 0.5, 0.03);
   // Replications differ (independent streams).
   EXPECT_GT(agg.mean_tokens[0].StdDev(), 0.0);
+}
+
+TEST(SpnSimulation, EnsembleBitIdenticalAcrossExecutorWidths) {
+  const PetriNet net = MakePingPongNet(2.0, 3.0);
+  SimulationConfig cfg;
+  cfg.horizon = 300.0;
+  cfg.seed = 9;
+  util::ParallelExecutor serial(1);
+  util::ParallelExecutor parallel(4);
+  const EnsembleResult a = SimulateSpnEnsemble(net, cfg, 12, serial);
+  const EnsembleResult b = SimulateSpnEnsemble(net, cfg, 12, parallel);
+  ASSERT_EQ(a.mean_tokens.size(), b.mean_tokens.size());
+  ASSERT_EQ(a.throughput.size(), b.throughput.size());
+  for (std::size_t p = 0; p < a.mean_tokens.size(); ++p) {
+    EXPECT_EQ(a.mean_tokens[p].Mean(), b.mean_tokens[p].Mean());
+    EXPECT_EQ(a.mean_tokens[p].Variance(), b.mean_tokens[p].Variance());
+  }
+  for (std::size_t t = 0; t < a.throughput.size(); ++t) {
+    EXPECT_EQ(a.throughput[t].Mean(), b.throughput[t].Mean());
+    EXPECT_EQ(a.throughput[t].Variance(), b.throughput[t].Variance());
+  }
 }
 
 TEST(SpnSimulation, ConfigValidation) {

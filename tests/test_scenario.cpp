@@ -100,6 +100,15 @@ TEST(ScenarioDeterminism, Table4ByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial, other_seed);
 }
 
+// Each effort case is a Map job running a whole Petri-net ensemble
+// inline, so the width only changes which thread runs which case.
+TEST(ScenarioDeterminism, AblationSteadyByteIdenticalAcrossThreadCounts) {
+  const std::string serial = RunAll("ablation-steady", {}, 1);
+  const std::string parallel = RunAll("ablation-steady", {}, 4);
+  EXPECT_NE(serial.find("20000"), std::string::npos);  // last effort row
+  EXPECT_EQ(serial, parallel);
+}
+
 // Acceptance pin: netsim replication determinism across thread counts.
 TEST(ScenarioDeterminism, NetsimLifetimeByteIdenticalAcrossThreadCounts) {
   const std::vector<std::string> flags = {"--cols=3", "--rows=2",

@@ -7,6 +7,7 @@
 #include "des/cpu_model.hpp"
 #include "markov/transient.hpp"
 #include "util/error.hpp"
+#include "util/executor.hpp"
 
 namespace wsn::markov {
 namespace {
@@ -93,7 +94,9 @@ TEST(Transient, MatchesShortHorizonSimulation) {
   cfg.power_down_threshold = 0.2;
   cfg.power_up_delay = 0.1;
   cfg.sim_time = horizon;
-  const des::CpuEnsembleResult agg = des::RunCpuEnsemble(cfg, 21, 4000, 0);
+  util::ParallelExecutor executor;
+  const des::CpuEnsembleResult agg =
+      des::RunCpuEnsemble(cfg, 21, 4000, executor);
 
   // Average share over [0, horizon] from the transient trajectory.
   const TransientCpuAnalysis a(1.0, 10.0, 0.2, 0.1, 16);
