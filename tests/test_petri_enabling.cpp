@@ -2,7 +2,12 @@
 // sets with priorities and weighted sampling.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include "petri/enabling.hpp"
+#include "petri/simulation.hpp"
 #include "util/error.hpp"
 
 namespace wsn::petri {
@@ -133,6 +138,72 @@ TEST(EnabledLists, TimedVsImmediate) {
   ASSERT_EQ(timed.size(), 1u);
   EXPECT_EQ(timed[0], exp);
   EXPECT_TRUE(EnabledTransitions(net, {0}).empty());
+}
+
+/// A closed three-token net with every arc feature the enabling rule
+/// has: an equal-priority weighted conflict (left/right) shadowing a
+/// lower-priority immediate (spill), an input arc of multiplicity 3
+/// (batch), an inhibitor of multiplicity 2 (gen stops while b >= 2) and
+/// a deterministic and two exponential timed transitions.
+PetriNet ConflictNet() {
+  PetriNet net;
+  const PlaceId in = net.AddPlace("in", 3);
+  const PlaceId buf = net.AddPlace("buf", 0);
+  const PlaceId a = net.AddPlace("a", 0);
+  const PlaceId b = net.AddPlace("b", 0);
+  const TransitionId gen = net.AddExponentialTransition("gen", 1.5);
+  net.AddInputArc(gen, in);
+  net.AddOutputArc(gen, buf);
+  net.AddInhibitorArc(gen, b, 2);
+  const TransitionId left = net.AddImmediateTransition("left", 1, 1.0);
+  net.AddInputArc(left, buf);
+  net.AddOutputArc(left, a);
+  const TransitionId right = net.AddImmediateTransition("right", 1, 3.0);
+  net.AddInputArc(right, buf);
+  net.AddOutputArc(right, b);
+  const TransitionId spill = net.AddImmediateTransition("spill", 0, 1.0);
+  net.AddInputArc(spill, buf);
+  net.AddOutputArc(spill, b);
+  const TransitionId batch = net.AddDeterministicTransition("batch", 0.7);
+  net.AddInputArc(batch, a, 3);
+  net.AddOutputArc(batch, in, 3);
+  const TransitionId drain = net.AddExponentialTransition("drain", 0.8);
+  net.AddInputArc(drain, b);
+  net.AddOutputArc(drain, in);
+  return net;
+}
+
+std::uint64_t Fnv1a64(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Every bit of the token game's statistics on the conflict net: the
+// weighted draws, the timer resampling order and the per-place token
+// accumulation all feed these numbers.
+TEST(TokenGame, ConflictNetStatisticsPinned) {
+  SimulationConfig config;
+  config.horizon = 500.0;
+  config.warmup = 20.0;
+  config.seed = 99;
+  const SimulationResult r = SimulateSpn(ConflictNet(), config);
+  std::string out;
+  char buf[64];
+  for (const double v : r.mean_tokens) {
+    std::snprintf(buf, sizeof buf, "%a\n", v);
+    out += buf;
+  }
+  for (const double v : r.mean_tokens_sq) {
+    std::snprintf(buf, sizeof buf, "%a\n", v);
+    out += buf;
+  }
+  for (const std::uint64_t f : r.firings) out += std::to_string(f) + "\n";
+  EXPECT_EQ(r.total_firings, 991u);
+  EXPECT_EQ(Fnv1a64(out), 0x298c56bc9f2d007ull) << out;
 }
 
 }  // namespace

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "core/cpu_petri_net.hpp"
+#include "core/models.hpp"
+#include "petri/dspn_solver.hpp"
 #include "scenario/result.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/spec.hpp"
@@ -282,6 +286,103 @@ TEST(ScenarioDeterminism, GenericSpecOutputPinned) {
   const std::string out = RunSpecAll(spec, 1);
   EXPECT_EQ(out.size(), 3252u);
   EXPECT_EQ(Fnv1a64(out), 0x53babefbfe9c7b45ull);
+}
+
+// Paper-artifact pins.  Tables 4 and 5 run the DES, the Markov model
+// and the Fig. 3 Petri net's token game; the exact DSPN solver is the
+// reference the benchmark checks them against.  A change that only
+// makes the Petri layer faster must leave every bit of these unchanged.
+TEST(ScenarioDeterminism, Table4OutputPinned) {
+  const std::string out =
+      RunAll("table4",
+             {"--points=3", "--replications=2", "--sim-time=50",
+              "--seed=2008"},
+             1);
+  EXPECT_EQ(out.size(), 2661u);
+  EXPECT_EQ(Fnv1a64(out), 0x42ad60de75997529ull);
+}
+
+TEST(ScenarioDeterminism, Table5OutputPinned) {
+  const std::string out =
+      RunAll("table5",
+             {"--points=4", "--replications=3", "--sim-time=30",
+              "--seed=17"},
+             1);
+  EXPECT_EQ(out.size(), 2439u);
+  EXPECT_EQ(Fnv1a64(out), 0xe8263b830b5d8a9full);
+}
+
+/// Every double of `values` in hexfloat, so a pin sees every bit.
+std::string HexFloats(const std::vector<double>& values) {
+  std::string out;
+  char buf[64];
+  for (const double v : values) {
+    std::snprintf(buf, sizeof buf, "%a\n", v);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(ScenarioDeterminism, DspnExactSharesPinned) {
+  const core::DspnExactCpuModel model;
+  std::vector<double> values;
+  for (const double pud : {0.001, 0.3, 10.0}) {
+    for (const double pdt : {1e-3, 0.5, 1.0}) {
+      core::CpuParams params;
+      params.power_up_delay = pud;
+      params.power_down_threshold = pdt;
+      const core::ModelEvaluation e = model.Evaluate(params);
+      values.insert(values.end(),
+                    {e.shares.standby, e.shares.powerup, e.shares.idle,
+                     e.shares.active, e.mean_jobs});
+    }
+  }
+  const std::string out = HexFloats(values);
+  EXPECT_EQ(Fnv1a64(out), 0x20ff00b79ed0287full) << out;
+}
+
+// Tables 4 and 5 render three decimals; this pins every bit of the
+// Fig. 3 token game's shares.
+TEST(ScenarioDeterminism, PetriNetTokenGameSharesPinned) {
+  core::EvalConfig config;
+  config.sim_time = 200.0;
+  config.replications = 3;
+  config.seed = 2008;
+  config.threads = 1;
+  const core::PetriNetCpuModel model(config);
+  std::vector<double> values;
+  for (const double pud : {0.001, 0.3, 10.0}) {
+    for (const double pdt : {1e-3, 0.5}) {
+      core::CpuParams params;
+      params.power_up_delay = pud;
+      params.power_down_threshold = pdt;
+      const core::ModelEvaluation e = model.Evaluate(params);
+      values.insert(values.end(),
+                    {e.shares.standby, e.shares.powerup, e.shares.idle,
+                     e.shares.active, e.mean_jobs, e.share_ci_halfwidth});
+    }
+  }
+  const std::string out = HexFloats(values);
+  EXPECT_EQ(Fnv1a64(out), 0xfa915d0f9d893ba7ull) << out;
+}
+
+// A truncation tight enough that firings out of the boundary markings
+// drop visible mass, which the solver folds back as self-loops.
+TEST(ScenarioDeterminism, DspnExactTruncatedSolutionPinned) {
+  core::CpuParams params;
+  params.power_up_delay = 10.0;
+  params.power_down_threshold = 0.5;
+  core::CpuNetLayout layout;
+  const petri::PetriNet net = core::BuildCpuPetriNet(params, &layout);
+  petri::DspnOptions opts;
+  opts.truncate_tokens = 4;
+  const petri::SpnSteadyState ss = petri::SolveDspnExact(net, opts);
+  EXPECT_LE(ss.mean_tokens[layout.cpu_buffer], 4.0);
+  std::vector<double> values = ss.mean_tokens;
+  values.insert(values.end(), ss.throughput.begin(), ss.throughput.end());
+  const std::string out = HexFloats(values);
+  EXPECT_EQ(ss.tangible_states, 11u);
+  EXPECT_EQ(Fnv1a64(out), 0xf08d76e7f967296dull) << out;
 }
 
 // Preset round-trip pins (ISSUE 9): every committed preset file under
