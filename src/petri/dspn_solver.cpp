@@ -46,11 +46,16 @@ struct TransitionInfo {
   double delay = 0.0;  ///< deterministic delay
 };
 
+/// `net` after its structural checks, so their ModelError comes first.
+const PetriNet& Validated(const PetriNet& net) {
+  net.Validate();
+  return net;
+}
+
 class DspnSolver {
  public:
   DspnSolver(const PetriNet& net, const DspnOptions& opts)
-      : net_(net), opts_(opts) {
-    net_.Validate();
+      : net_(net), compiled_(Validated(net)), opts_(opts) {
     ClassifyTransitions();
   }
 
@@ -63,9 +68,8 @@ class DspnSolver {
  private:
   void ClassifyTransitions() {
     info_.resize(net_.TransitionCount());
-    for (TransitionId t = 0; t < net_.TransitionCount(); ++t) {
+    for (const TransitionId t : compiled_.Timed()) {
       const Transition& tr = net_.GetTransition(t);
-      if (tr.kind != TransitionKind::kTimed) continue;
       const auto& v = tr.delay->AsVariant();
       if (const auto* e = std::get_if<util::Exponential>(&v)) {
         info_[t].rate = e->rate;
@@ -99,29 +103,43 @@ class DspnSolver {
         throw ModelError("DSPN tangible space exceeds marking cap");
       }
       markings_.push_back(m);
+      successors_.resize(markings_.size() * net_.TransitionCount());
       frontier.push_back(it->second);
     }
     return it->second;
   }
 
-  /// Distribution over *interned, truncation-respecting* tangible states
-  /// after firing `t` in `m`; dropped (truncated) mass is returned so
-  /// callers can convert it into self-loop probability.
-  std::vector<std::pair<std::size_t, double>> FireToStates(
-      TransitionId t, const Marking& m, double* dropped,
-      std::deque<std::size_t>& frontier) {
-    std::vector<std::pair<std::size_t, double>> out;
-    *dropped = 0.0;
-    const Marking fired = Fire(net_, t, m);
+  /// The tangible successors of firing timed transition `t` in state `s`.
+  struct Successors {
+    bool resolved = false;
+    /// Distribution over *interned, truncation-respecting* states.
+    std::vector<std::pair<std::size_t, double>> to;
+    /// Truncated mass, which callers convert into self-loop probability.
+    double dropped = 0.0;
+  };
+
+  /// Successors of (s, t), resolved on the first call and memoized: the
+  /// exploration, every deterministic window and the embedded chain share
+  /// one successor relation.  First calls intern new states into
+  /// `frontier`; the returned reference is valid until the next call.
+  const Successors& FireToStates(std::size_t s, TransitionId t,
+                                 std::deque<std::size_t>& frontier) {
+    const std::size_t key = s * net_.TransitionCount() + t;
+    if (successors_[key].resolved) return successors_[key];
+    Successors out;
+    out.resolved = true;
+    Marking fired = markings_[s];
+    compiled_.Fire(t, fired);
     const auto dist = ResolveVanishingDistribution(net_, fired, opts_.reach);
     for (const auto& [tm, tp] : dist) {
       if (ExceedsTruncation(tm)) {
-        *dropped += tp;
+        out.dropped += tp;
         continue;
       }
-      out.emplace_back(Intern(tm, frontier), tp);
+      out.to.emplace_back(Intern(tm, frontier), tp);
     }
-    return out;
+    successors_[key] = std::move(out);
+    return successors_[key];
   }
 
   void ExploreTangibleSpace() {
@@ -136,12 +154,10 @@ class DspnSolver {
     while (!frontier.empty()) {
       const std::size_t cur = frontier.front();
       frontier.pop_front();
-      const Marking m = markings_[cur];  // copy: vector may grow
-      for (TransitionId t = 0; t < net_.TransitionCount(); ++t) {
-        if (net_.GetTransition(t).kind != TransitionKind::kTimed) continue;
-        if (!IsEnabled(net_, t, m)) continue;
-        double dropped = 0.0;
-        (void)FireToStates(t, m, &dropped, frontier);
+      for (const TransitionId t : compiled_.Timed()) {
+        if (compiled_.Enabled(t, markings_[cur])) {
+          FireToStates(cur, t, frontier);
+        }
       }
     }
 
@@ -150,9 +166,8 @@ class DspnSolver {
     for (std::size_t s = 0; s < markings_.size(); ++s) {
       std::size_t det_count = 0;
       bool any_timed = false;
-      for (TransitionId t = 0; t < net_.TransitionCount(); ++t) {
-        if (net_.GetTransition(t).kind != TransitionKind::kTimed) continue;
-        if (!IsEnabled(net_, t, markings_[s])) continue;
+      for (const TransitionId t : compiled_.Timed()) {
+        if (!compiled_.Enabled(t, markings_[s])) continue;
         any_timed = true;
         if (info_[t].is_det) {
           det_of_state_[s] = t;
@@ -213,15 +228,11 @@ class DspnSolver {
       const std::size_t g = work.front();
       work.pop_front();
       const std::size_t li = live_id(g);
-      const Marking m = markings_[g];
-      for (TransitionId t = 0; t < net_.TransitionCount(); ++t) {
-        if (net_.GetTransition(t).kind != TransitionKind::kTimed) continue;
-        if (info_[t].is_det || !IsEnabled(net_, t, m)) continue;
-        double dropped = 0.0;
-        const auto targets = FireToStates(t, m, &dropped, grow);
+      for (const TransitionId t : compiled_.Timed()) {
+        if (info_[t].is_det || !compiled_.Enabled(t, markings_[g])) continue;
         // Truncation-dropped mass = blocked firing: treat as the firing
         // not happening (rate reduced); approximate by scaling the edge.
-        for (const auto& [gz, p] : targets) {
+        for (const auto& [gz, p] : FireToStates(g, t, grow).to) {
           Edge e;
           e.from = li;
           e.rate = info_[t].rate * p;
@@ -335,29 +346,26 @@ class DspnSolver {
     std::deque<std::size_t> grow;  // space is closed; Intern won't grow it
 
     for (std::size_t s = 0; s < n; ++s) {
-      const Marking m = markings_[s];
+      const Marking& m = markings_[s];
       const TransitionId det = det_of_state_[s];
       if (det == kNone) {
         // Plain CTMC step.
         double total = 0.0;
-        for (TransitionId t = 0; t < nt; ++t) {
-          if (net_.GetTransition(t).kind != TransitionKind::kTimed) continue;
-          if (!IsEnabled(net_, t, m)) continue;
-          total += info_[t].rate;
+        for (const TransitionId t : compiled_.Timed()) {
+          if (compiled_.Enabled(t, m)) total += info_[t].rate;
         }
         duration_[s] = 1.0 / total;
         sojourn_[s].emplace_back(s, 1.0 / total);
         double self_mass = 0.0;
-        for (TransitionId t = 0; t < nt; ++t) {
-          if (net_.GetTransition(t).kind != TransitionKind::kTimed) continue;
-          if (!IsEnabled(net_, t, m)) continue;
+        for (const TransitionId t : compiled_.Timed()) {
+          if (!compiled_.Enabled(t, m)) continue;
           const double p_fire = info_[t].rate / total;
           firings_[s * nt + t] += p_fire;
-          double dropped = 0.0;
-          for (const auto& [z, pz] : FireToStates(t, m, &dropped, grow)) {
+          const Successors& next = FireToStates(s, t, grow);
+          for (const auto& [z, pz] : next.to) {
             emc_rows_[s].emplace_back(z, p_fire * pz);
           }
-          self_mass += p_fire * dropped;
+          self_mass += p_fire * next.dropped;
         }
         if (self_mass > 0.0) emc_rows_[s].emplace_back(s, self_mass);
       } else {
@@ -371,12 +379,8 @@ class DspnSolver {
           sojourn_[s].emplace_back(sub.live[x], lx);
           // Expected exponential firings while dwelling in live state x.
           const Marking& mx = markings_[sub.live[x]];
-          for (TransitionId t = 0; t < nt; ++t) {
-            if (net_.GetTransition(t).kind != TransitionKind::kTimed ||
-                info_[t].is_det) {
-              continue;
-            }
-            if (IsEnabled(net_, t, mx)) {
+          for (const TransitionId t : compiled_.Timed()) {
+            if (!info_[t].is_det && compiled_.Enabled(t, mx)) {
               firings_[s * nt + t] += info_[t].rate * lx;
             }
           }
@@ -389,12 +393,11 @@ class DspnSolver {
           const double fx = sub.at_tau[x];
           if (fx <= 0.0) continue;
           firings_[s * nt + det] += fx;
-          double dropped = 0.0;
-          for (const auto& [z, pz] :
-               FireToStates(det, markings_[sub.live[x]], &dropped, grow)) {
+          const Successors& next = FireToStates(sub.live[x], det, grow);
+          for (const auto& [z, pz] : next.to) {
             emc_rows_[s].emplace_back(z, fx * pz);
           }
-          self_mass += fx * dropped;
+          self_mass += fx * next.dropped;
         }
         // Pre-empted: the embedded chain resumes at the exit marking.
         for (const auto& [z, pz] : sub.exits) {
@@ -468,11 +471,13 @@ class DspnSolver {
   }
 
   const PetriNet& net_;
+  const CompiledNet compiled_;
   const DspnOptions& opts_;
   std::vector<TransitionInfo> info_;
 
   std::vector<Marking> markings_;
   std::unordered_map<Marking, std::size_t, MarkingHash> index_;
+  std::vector<Successors> successors_;  ///< per (state, transition)
   std::vector<std::size_t> det_of_state_;
 
   std::vector<std::vector<std::pair<std::size_t, double>>> emc_rows_;

@@ -105,4 +105,48 @@ TransitionId SampleByWeight(const PetriNet& net,
   return conflict_set.back();
 }
 
+CompiledNet::CompiledNet(const PetriNet& net) : net_(&net) {
+  table_.resize(net.TransitionCount());
+  for (TransitionId t = 0; t < net.TransitionCount(); ++t) {
+    const Transition& tr = net.GetTransition(t);
+    Entry& e = table_[t];
+    const auto append = [&](ArcKind kind) {
+      for (const Arc& a : tr.arcs) {
+        if (a.kind != kind) continue;
+        arcs_.push_back({static_cast<std::uint32_t>(a.place), a.multiplicity});
+      }
+      return static_cast<std::uint32_t>(arcs_.size());
+    };
+    e.input = static_cast<std::uint32_t>(arcs_.size());
+    e.inhibitor = append(ArcKind::kInput);
+    e.output = append(ArcKind::kInhibitor);
+    e.end = append(ArcKind::kOutput);
+    e.priority = tr.priority;
+    if (tr.IsImmediate()) {
+      immediate_.push_back(t);
+    } else {
+      Require(tr.delay.has_value(), "timed transition without a delay");
+      e.delay = &*tr.delay;
+      timed_.push_back(t);
+    }
+  }
+}
+
+void CompiledNet::ImmediateConflictSet(const Marking& m,
+                                       std::vector<TransitionId>& out) const {
+  out.clear();
+  int best_priority = 0;
+  for (const TransitionId t : immediate_) {
+    if (!Enabled(t, m)) continue;
+    const int priority = table_[t].priority;
+    if (out.empty() || priority > best_priority) {
+      out.clear();
+      out.push_back(t);
+      best_priority = priority;
+    } else if (priority == best_priority) {
+      out.push_back(t);
+    }
+  }
+}
+
 }  // namespace wsn::petri

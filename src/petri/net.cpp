@@ -75,16 +75,6 @@ void PetriNet::AddInhibitorArc(TransitionId t, PlaceId p,
   transitions_[t].arcs.push_back({ArcKind::kInhibitor, p, multiplicity});
 }
 
-const Place& PetriNet::GetPlace(PlaceId p) const {
-  Require(p < places_.size(), "place id out of range");
-  return places_[p];
-}
-
-const Transition& PetriNet::GetTransition(TransitionId t) const {
-  Require(t < transitions_.size(), "transition id out of range");
-  return transitions_[t];
-}
-
 PlaceId PetriNet::PlaceByName(const std::string& name) const {
   for (std::size_t i = 0; i < places_.size(); ++i) {
     if (places_[i].name == name) return i;

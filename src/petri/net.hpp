@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "util/distributions.hpp"
+#include "util/error.hpp"
 
 namespace wsn::petri {
 
@@ -87,8 +88,15 @@ class PetriNet {
   std::size_t PlaceCount() const noexcept { return places_.size(); }
   std::size_t TransitionCount() const noexcept { return transitions_.size(); }
 
-  const Place& GetPlace(PlaceId p) const;
-  const Transition& GetTransition(TransitionId t) const;
+  // Inline: the free enabling functions call these on every test.
+  const Place& GetPlace(PlaceId p) const {
+    util::Require(p < places_.size(), "place id out of range");
+    return places_[p];
+  }
+  const Transition& GetTransition(TransitionId t) const {
+    util::Require(t < transitions_.size(), "transition id out of range");
+    return transitions_[t];
+  }
 
   /// Lookup by name; throws InvalidArgument when absent.
   PlaceId PlaceByName(const std::string& name) const;

@@ -17,26 +17,30 @@ namespace {
 
 constexpr double kUnscheduled = std::numeric_limits<double>::infinity();
 
+/// Checks shared by one replication and an ensemble: done once per
+/// call, before any net is compiled or any replication runs.
+void CheckConfig(const PetriNet& net, const SimulationConfig& config) {
+  Require(config.horizon > 0.0, "horizon must be positive");
+  Require(config.warmup >= 0.0 && config.warmup < config.horizon,
+          "warmup must lie inside the horizon");
+  net.Validate();
+}
+
 class TokenGame {
  public:
-  TokenGame(const PetriNet& net, const SimulationConfig& config)
-      : net_(net), config_(config), rng_(config.seed) {
-    Require(config.horizon > 0.0, "horizon must be positive");
-    Require(config.warmup >= 0.0 && config.warmup < config.horizon,
-            "warmup must lie inside the horizon");
-    net_.Validate();
-  }
+  TokenGame(const CompiledNet& net, const SimulationConfig& config)
+      : net_(net), config_(config), rng_(config.seed) {}
 
   SimulationResult Run() {
-    const std::size_t np = net_.PlaceCount();
-    const std::size_t nt = net_.TransitionCount();
+    const std::size_t np = net_.Net().PlaceCount();
+    const std::size_t nt = net_.Net().TransitionCount();
     SimulationResult result;
     result.mean_tokens.assign(np, 0.0);
     result.mean_tokens_sq.assign(np, 0.0);
     result.firings.assign(nt, 0);
     result.observed_time = config_.horizon - config_.warmup;
 
-    Marking m = net_.InitialMarking();
+    Marking m = net_.Net().InitialMarking();
     double now = 0.0;
     ResolveVanishing(m, now, result);
 
@@ -53,7 +57,7 @@ class TokenGame {
       // determinism.
       std::size_t next_t = nt;
       double next_time = kUnscheduled;
-      for (std::size_t t = 0; t < nt; ++t) {
+      for (const TransitionId t : net_.Timed()) {
         if (fire_at[t] < next_time) {
           next_time = fire_at[t];
           next_t = t;
@@ -74,7 +78,7 @@ class TokenGame {
 
       AccumulateTokens(m, now, next_time, result);
       now = next_time;
-      FireInPlace(net_, next_t, m);
+      net_.Fire(next_t, m);
       CountFiring(next_t, now, result);
       fire_at[next_t] = kUnscheduled;
       ResolveVanishing(m, now, result);
@@ -121,16 +125,15 @@ class TokenGame {
   void ResolveVanishing(Marking& m, double now, SimulationResult& result) {
     std::uint64_t chain = 0;
     for (;;) {
-      const std::vector<TransitionId> conflict =
-          EnabledImmediateConflictSet(net_, m);
-      if (conflict.empty()) return;
+      net_.ImmediateConflictSet(m, conflict_);
+      if (conflict_.empty()) return;
       if (++chain > config_.max_vanishing_chain) {
         throw ModelError(
             "immediate-transition livelock: vanishing chain exceeded " +
             std::to_string(config_.max_vanishing_chain) + " firings");
       }
-      const TransitionId t = SampleByWeight(net_, conflict, rng_);
-      FireInPlace(net_, t, m);
+      const TransitionId t = SampleByWeight(net_.Net(), conflict_, rng_);
+      net_.Fire(t, m);
       CountFiring(t, now, result);
     }
   }
@@ -142,31 +145,30 @@ class TokenGame {
   ///   - disabled transitions are descheduled.
   void RefreshSchedule(const Marking& m, double now,
                        std::vector<double>& fire_at, std::size_t fired) {
-    for (std::size_t t = 0; t < net_.TransitionCount(); ++t) {
-      const Transition& tr = net_.GetTransition(t);
-      if (tr.kind != TransitionKind::kTimed) continue;
-      const bool enabled = IsEnabled(net_, t, m);
-      if (!enabled) {
+    for (const TransitionId t : net_.Timed()) {
+      if (!net_.Enabled(t, m)) {
         fire_at[t] = kUnscheduled;  // enabling memory: timer discarded
         continue;
       }
       if (fire_at[t] == kUnscheduled || t == fired) {
-        fire_at[t] = now + tr.delay->Sample(rng_);
+        fire_at[t] = now + net_.Delay(t).Sample(rng_);
       }
     }
   }
 
-  const PetriNet& net_;
+  const CompiledNet& net_;
   const SimulationConfig& config_;
   util::Rng rng_;
+  std::vector<TransitionId> conflict_;  ///< reused by ResolveVanishing
 };
 
 }  // namespace
 
 SimulationResult SimulateSpn(const PetriNet& net,
                              const SimulationConfig& config) {
-  TokenGame game(net, config);
-  return game.Run();
+  CheckConfig(net, config);
+  const CompiledNet compiled(net);
+  return TokenGame(compiled, config).Run();
 }
 
 EnsembleResult SimulateSpnEnsemble(const PetriNet& net,
@@ -174,6 +176,8 @@ EnsembleResult SimulateSpnEnsemble(const PetriNet& net,
                                    std::size_t replications,
                                    util::ParallelExecutor& executor) {
   Require(replications >= 1, "need at least one replication");
+  CheckConfig(net, config);
+  const CompiledNet compiled(net);
   std::vector<SimulationResult> results(replications);
   util::Rng base(config.seed);
   std::vector<std::uint64_t> seeds(replications);
@@ -182,7 +186,7 @@ EnsembleResult SimulateSpnEnsemble(const PetriNet& net,
   executor.RunIndexed(replications, [&](std::size_t r) {
     SimulationConfig local = config;
     local.seed = seeds[r];
-    results[r] = SimulateSpn(net, local);
+    results[r] = TokenGame(compiled, local).Run();
   });
 
   EnsembleResult agg;

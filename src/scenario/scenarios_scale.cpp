@@ -132,6 +132,22 @@ ScaleRun TimeRun(netsim::NetSimConfig cfg, double cpu_mw, std::uint64_t seed,
   return out;
 }
 
+/// True iff two timings of one configuration did the same work: every
+/// deterministic column of its row agrees.
+bool SameWork(const ScaleRun& a, const ScaleRun& b) {
+  return a.deaths == b.deaths && a.report.events == b.report.events &&
+         a.report.routing_repairs == b.report.routing_repairs &&
+         a.report.elections == b.report.elections &&
+         a.report.packets.generated == b.report.packets.generated &&
+         a.report.packets.delivered == b.report.packets.delivered;
+}
+
+/// A production run faster than this is re-timed: a sub-second wall on
+/// a shared host moves by tens of percent from one run to the next.
+constexpr double kRetimeBelowS = 0.5;
+/// Further timings per side of a re-timed pair, in alternating order.
+constexpr int kRetimeRepeats = 3;
+
 ResultSet RunNetsimScale(const ScenarioContext& ctx) {
   const util::CliArgs& args = ctx.Args();
   const std::vector<std::size_t> sizes =
@@ -261,16 +277,36 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
                                std::to_string(sw.calls)});
       }
     };
+    // Times `config` again and keeps the faster of `best` and the new
+    // run; the repeat must do exactly the work the first timing did.
+    const auto retime = [&](const std::string& mode,
+                            const netsim::NetSimConfig& config,
+                            ScaleRun& best) {
+      ScaleRun again = TimeRun(config, cpu_mw, seed, replications);
+      if (!SameWork(again, best)) {
+        throw util::Error("netsim-scale: a repeat of " + mode + " at N=" +
+                          std::to_string(n) +
+                          " changed its deterministic columns");
+      }
+      if (again.wall_s < best.wall_s) best = std::move(again);
+    };
     // Runs a production path and, up to --oracle-max, its oracle, which
     // must produce the same report.  An oracle gated out keeps its row,
     // explicitly marked, so consumers (and bench_compare.py) see
-    // "skipped" instead of a silently missing key.
+    // "skipped" instead of a silently missing key.  A production run
+    // under kRetimeBelowS is timed kRetimeRepeats more times per side,
+    // the two sides alternating which goes first, and each row reports
+    // its side's fastest run.
     const auto run_pair = [&](const std::string& mode,
                               const netsim::NetSimConfig& mode_cfg,
                               const std::string& oracle_mode,
                               const netsim::NetSimConfig& oracle_cfg) {
-      const ScaleRun run = TimeRun(mode_cfg, cpu_mw, seed, replications);
+      ScaleRun run = TimeRun(mode_cfg, cpu_mw, seed, replications);
+      const bool repeat = run.wall_s < kRetimeBelowS;
       if (n > oracle_max) {
+        for (int k = 0; repeat && k < kRetimeRepeats; ++k) {
+          retime(mode, mode_cfg, run);
+        }
         table.AddRow({"N=" + std::to_string(n) + " " + oracle_mode,
                       std::to_string(n), "skipped", "skipped", "skipped",
                       "skipped", "skipped", "skipped", "skipped",
@@ -279,12 +315,21 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
         add_obs(mode, run);
         return;
       }
-      const ScaleRun oracle = TimeRun(oracle_cfg, cpu_mw, seed, replications);
+      ScaleRun oracle = TimeRun(oracle_cfg, cpu_mw, seed, replications);
       if (oracle.report.events != run.report.events ||
           oracle.report.packets.delivered != run.report.packets.delivered ||
           oracle.deaths != run.deaths) {
         throw util::Error("netsim-scale: " + mode + " diverged from " +
                           oracle_mode + " at N=" + std::to_string(n));
+      }
+      for (int k = 0; repeat && k < kRetimeRepeats; ++k) {
+        if (k % 2 == 0) {  // the first timing ran production first
+          retime(oracle_mode, oracle_cfg, oracle);
+          retime(mode, mode_cfg, run);
+        } else {
+          retime(mode, mode_cfg, run);
+          retime(oracle_mode, oracle_cfg, oracle);
+        }
       }
       add_row(oracle_mode, oracle, "1.00");
       add_row(mode, run, util::FormatFixed(oracle.wall_s / run.wall_s, 2));
@@ -325,6 +370,9 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
       "ring-expanding grid search.  Paired paths must produce identical reports — the run "
       "aborts on divergence; their speedup columns compare against "
       "their own oracle (flat-full / clustered-allpairs = 1.00).  "
+      "A pair whose production run takes under 0.5 s is timed 3 more "
+      "times per side, alternating which side goes first, and each of "
+      "its rows shows that side's fastest run.  "
       "Timings are wall-clock and machine-dependent; diff two JSON "
       "outputs with tools/bench_compare.py.");
   return results;
